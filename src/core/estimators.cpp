@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/engine.h"
 #include "core/parallel.h"
 #include "obs/obs.h"
 #include "simd/simd.h"
@@ -22,22 +23,10 @@ void check_inputs(const Trace& trace, const Policy& new_policy,
         throw std::invalid_argument("estimator: model/policy decision-space mismatch");
 }
 
-void check_matrix(const Trace& trace, const Policy& new_policy,
-                  const PredictionMatrix& qhat) {
-    validate_trace(trace);
-    if (trace.empty()) throw std::invalid_argument("estimator: empty trace");
-    if (trace.num_decisions() > new_policy.num_decisions())
-        throw std::invalid_argument("estimator: trace uses decisions outside policy space");
-    if (qhat.num_decisions() != new_policy.num_decisions())
-        throw std::invalid_argument("estimator: matrix/policy decision-space mismatch");
-    if (qhat.num_tuples() != trace.size())
-        throw std::invalid_argument("estimator: matrix built from a different trace");
-}
-
 // Reusable per-thread probability buffer for the estimator loops. Each
 // parallel task sees its own copy (thread_local), so the hot loops never
 // allocate a distribution per tuple. value_under_policy fills it and
-// leaves trace[k]'s distribution behind, letting callers read
+// leaves the tuple's distribution behind, letting callers read
 // probs[t.decision] instead of paying a second policy evaluation.
 std::vector<double>& probs_scratch() {
     thread_local std::vector<double> scratch;
@@ -45,14 +34,13 @@ std::vector<double>& probs_scratch() {
 }
 
 // The model-based estimators are written once against a generic q̂ accessor
-// and instantiated twice: reading the RewardModel directly, or reading a
-// PredictionMatrix row. Both instantiations execute dre::simd's canonical
-// fixed-8-lane weighted sum (simd.h): the matrix path through the
-// dispatched kernel over the contiguous decision-major row, the model path
-// as the equivalent scalar lane loop that only queries the model at
-// nonzero probabilities (a zero-probability decision contributes exactly
-// +0.0 either way — the two spellings are bit-identical, and so are all
-// dispatch levels).
+// and instantiated twice: reading the RewardModel directly, or reading
+// precomputed q̂ rows. Both execute dre::simd's canonical fixed-8-lane
+// weighted sum (simd.h): the row path through the dispatched kernel over
+// the contiguous decision-major row, the model path as the equivalent
+// scalar lane loop that only queries the model at nonzero probabilities (a
+// zero-probability decision contributes exactly +0.0 either way — the two
+// spellings are bit-identical, and so are all dispatch levels).
 template <typename Q>
 double value_under_policy(const Policy& policy, const ClientContext& context,
                           std::size_t k, const Q& q,
@@ -82,7 +70,7 @@ double value_under_policy(const Policy& policy, const ClientContext& context,
     return value;
 }
 
-// Accessor over the live model (the pre-matrix code path, verbatim).
+// Accessor over the live model.
 struct ModelQ {
     const RewardModel* model;
     double operator()(std::size_t, const ClientContext& context,
@@ -93,15 +81,61 @@ struct ModelQ {
     const double* row(std::size_t) const { return nullptr; }
 };
 
-// Accessor over the precomputed matrix; the context is ignored because the
-// row was computed from exactly that tuple's context.
+// Accessor over precomputed q̂ rows (row-major, `stride` decisions per row,
+// row k ↔ tuple k); the context is ignored because each row was computed
+// from exactly that tuple's context.
 struct MatrixQ {
-    const PredictionMatrix* qhat;
+    const double* rows;
+    std::size_t stride;
     double operator()(std::size_t k, const ClientContext&, std::size_t d) const {
-        return qhat->at(k, d);
+        return rows[k * stride + d];
     }
-    const double* row(std::size_t k) const { return qhat->row(k); }
+    const double* row(std::size_t k) const { return rows + k * stride; }
 };
+
+// Validated q̂ sources: the live model, or all rows of a matrix built from
+// this trace (row k ↔ trace[k]).
+ModelQ checked_q(const Trace& trace, const Policy& new_policy,
+                 const RewardModel& model) {
+    check_inputs(trace, new_policy, &model);
+    return {&model};
+}
+
+MatrixQ checked_q(const Trace& trace, const Policy& new_policy,
+                  const PredictionMatrix& qhat) {
+    check_inputs(trace, new_policy, nullptr);
+    if (qhat.num_decisions() != new_policy.num_decisions())
+        throw std::invalid_argument("estimator: matrix/policy decision-space mismatch");
+    if (qhat.num_tuples() != trace.size())
+        throw std::invalid_argument("estimator: matrix built from a different trace");
+    return {qhat.row(0), qhat.num_decisions()};
+}
+
+// What DM, DR and every DR variant combine for one tuple (Eq. 2):
+//   dm_part  = Σ_d μ_new(d|c_k) q̂(c_k, d)
+//   weight   = μ_new(d_k|c_k) / μ_old(d_k|c_k)
+//   q_logged = q̂(c_k, d_k)
+struct TupleTerms {
+    double dm_part;
+    double weight;
+    double q_logged;
+
+    // DR's term with correction weight `w` (the raw or a clipped weight).
+    double dr(double reward, double w) const noexcept {
+        return dm_part + w * (reward - q_logged);
+    }
+};
+
+// probs[t.decision] == probability(t.context, t.decision) by the Policy
+// contract; reusing the row value_under_policy just filled saves a second
+// policy evaluation per tuple.
+template <typename Q>
+TupleTerms tuple_terms(const Policy& policy, const LoggedTuple& t,
+                       std::size_t k, const Q& q, std::vector<double>& probs) {
+    const double dm_part = value_under_policy(policy, t.context, k, q, probs);
+    const auto d = static_cast<std::size_t>(t.decision);
+    return {dm_part, probs[d] / t.propensity, q(k, t.context, d)};
+}
 
 // Fill per_tuple[k] = fn(k, trace[k]) for every tuple, in parallel. Each
 // task writes only its own slots and fn is a pure function of (k, tuple),
@@ -127,9 +161,13 @@ EstimateResult average_result(std::vector<double> per_tuple, std::string name) {
     return result;
 }
 
-template <typename Q>
+// DM stops at value_under_policy, the first step of tuple_terms: on the
+// model path q̂ at the logged decision would cost one more predict() per
+// tuple, and DM never reads it.
+template <typename Source>
 EstimateResult direct_method_impl(const Trace& trace, const Policy& new_policy,
-                                  const Q& q) {
+                                  const Source& source) {
+    const auto q = checked_q(trace, new_policy, source);
     return average_result(
         per_tuple_map(trace,
                       [&](std::size_t k, const LoggedTuple& t) {
@@ -139,100 +177,79 @@ EstimateResult direct_method_impl(const Trace& trace, const Policy& new_policy,
         "DM");
 }
 
-template <typename Q>
+// Mean of combine(terms_k, reward_k): the DR family differs only in how it
+// combines a tuple's shared terms.
+template <typename Source, typename Combine>
+EstimateResult average_terms(const Trace& trace, const Policy& new_policy,
+                             const Source& source, std::string name,
+                             const Combine& combine) {
+    const auto q = checked_q(trace, new_policy, source);
+    return average_result(
+        per_tuple_map(trace,
+                      [&](std::size_t k, const LoggedTuple& t) {
+                          return combine(tuple_terms(new_policy, t, k, q,
+                                                     probs_scratch()),
+                                         t.reward);
+                      }),
+        std::move(name));
+}
+
+template <typename Source>
 EstimateResult doubly_robust_impl(const Trace& trace, const Policy& new_policy,
-                                  const Q& q) {
-    return average_result(
-        per_tuple_map(trace,
-                      [&](std::size_t k, const LoggedTuple& t) {
-                          // probs[t.decision] == probability(t.context,
-                          // t.decision) by the Policy contract; reusing the
-                          // row value_under_policy just filled saves a
-                          // second policy evaluation per tuple.
-                          std::vector<double>& probs = probs_scratch();
-                          const double dm_part = value_under_policy(
-                              new_policy, t.context, k, q, probs);
-                          const double weight =
-                              probs[static_cast<std::size_t>(t.decision)] /
-                              t.propensity;
-                          return dm_part +
-                                 weight * (t.reward -
-                                           q(k, t.context,
-                                             static_cast<std::size_t>(t.decision)));
-                      }),
-        "DR");
+                                  const Source& source) {
+    return average_terms(trace, new_policy, source, "DR",
+                         [](const TupleTerms& x, double reward) {
+                             return x.dr(reward, x.weight);
+                         });
 }
 
-template <typename Q>
+template <typename Source>
 EstimateResult clipped_doubly_robust_impl(const Trace& trace,
-                                          const Policy& new_policy, const Q& q,
+                                          const Policy& new_policy,
+                                          const Source& source,
                                           const EstimatorOptions& options) {
-    return average_result(
-        per_tuple_map(trace,
-                      [&](std::size_t k, const LoggedTuple& t) {
-                          std::vector<double>& probs = probs_scratch();
-                          const double dm_part = value_under_policy(
-                              new_policy, t.context, k, q, probs);
-                          const double raw_weight =
-                              probs[static_cast<std::size_t>(t.decision)] /
-                              t.propensity;
-                          if (raw_weight > options.weight_clip)
-                              DRE_COUNTER_INC("estimators.weight_clipped");
-                          const double weight =
-                              std::min(raw_weight, options.weight_clip);
-                          return dm_part +
-                                 weight * (t.reward -
-                                           q(k, t.context,
-                                             static_cast<std::size_t>(t.decision)));
-                      }),
-        "clipped-DR");
+    if (!(options.weight_clip > 0.0))
+        throw std::invalid_argument("clipped_doubly_robust: weight_clip must be > 0");
+    return average_terms(trace, new_policy, source, "clipped-DR",
+                         [&](const TupleTerms& x, double reward) {
+                             if (x.weight > options.weight_clip)
+                                 DRE_COUNTER_INC("estimators.weight_clipped");
+                             return x.dr(reward,
+                                         std::min(x.weight, options.weight_clip));
+                         });
 }
 
-template <typename Q>
+template <typename Source>
 EstimateResult switch_doubly_robust_impl(const Trace& trace,
-                                         const Policy& new_policy, const Q& q,
+                                         const Policy& new_policy,
+                                         const Source& source,
                                          const EstimatorOptions& options) {
-    return average_result(
-        per_tuple_map(trace,
-                      [&](std::size_t k, const LoggedTuple& t) {
-                          std::vector<double>& probs = probs_scratch();
-                          const double dm_part = value_under_policy(
-                              new_policy, t.context, k, q, probs);
-                          const double weight =
-                              probs[static_cast<std::size_t>(t.decision)] /
-                              t.propensity;
-                          double contribution = dm_part;
-                          if (weight <= options.switch_threshold) {
-                              contribution +=
-                                  weight *
-                                  (t.reward -
-                                   q(k, t.context,
-                                     static_cast<std::size_t>(t.decision)));
-                          } else {
-                              DRE_COUNTER_INC("estimators.switch_model_fallbacks");
-                          }
-                          return contribution;
-                      }),
-        "SWITCH-DR");
+    if (!(options.switch_threshold > 0.0))
+        throw std::invalid_argument("switch_doubly_robust: threshold must be > 0");
+    return average_terms(trace, new_policy, source, "SWITCH-DR",
+                         [&](const TupleTerms& x, double reward) {
+                             if (x.weight <= options.switch_threshold)
+                                 return x.dr(reward, x.weight);
+                             DRE_COUNTER_INC("estimators.switch_model_fallbacks");
+                             return x.dm_part;
+                         });
 }
 
-template <typename Q>
+template <typename Source>
 EstimateResult self_normalized_doubly_robust_impl(const Trace& trace,
                                                   const Policy& new_policy,
-                                                  const Q& q) {
+                                                  const Source& source) {
+    const auto q = checked_q(trace, new_policy, source);
     const std::size_t n = trace.size();
     std::vector<double> dm_parts(n), corrections(n), weights(n);
     par::parallel_for_chunked(n, [&](std::size_t begin, std::size_t end) {
         std::vector<double>& probs = probs_scratch();
         for (std::size_t k = begin; k < end; ++k) {
             const LoggedTuple& t = trace[k];
-            dm_parts[k] = value_under_policy(new_policy, t.context, k, q, probs);
-            weights[k] =
-                probs[static_cast<std::size_t>(t.decision)] / t.propensity;
-            corrections[k] =
-                weights[k] *
-                (t.reward -
-                 q(k, t.context, static_cast<std::size_t>(t.decision)));
+            const TupleTerms x = tuple_terms(new_policy, t, k, q, probs);
+            dm_parts[k] = x.dm_part;
+            weights[k] = x.weight;
+            corrections[k] = x.weight * (t.reward - x.q_logged);
         }
     });
     const double total_weight = par::chunked_sum(weights);
@@ -263,14 +280,12 @@ double EstimateResult::variance_of_mean() const {
 
 EstimateResult direct_method(const Trace& trace, const Policy& new_policy,
                              const RewardModel& model) {
-    check_inputs(trace, new_policy, &model);
-    return direct_method_impl(trace, new_policy, ModelQ{&model});
+    return direct_method_impl(trace, new_policy, model);
 }
 
 EstimateResult direct_method(const Trace& trace, const Policy& new_policy,
                              const PredictionMatrix& qhat) {
-    check_matrix(trace, new_policy, qhat);
-    return direct_method_impl(trace, new_policy, MatrixQ{&qhat});
+    return direct_method_impl(trace, new_policy, qhat);
 }
 
 std::vector<double> importance_weights(const Trace& trace, const Policy& new_policy) {
@@ -344,50 +359,36 @@ EstimateResult self_normalized_ips(const Trace& trace, const Policy& new_policy)
 
 EstimateResult doubly_robust(const Trace& trace, const Policy& new_policy,
                              const RewardModel& model) {
-    check_inputs(trace, new_policy, &model);
-    return doubly_robust_impl(trace, new_policy, ModelQ{&model});
+    return doubly_robust_impl(trace, new_policy, model);
 }
 
 EstimateResult doubly_robust(const Trace& trace, const Policy& new_policy,
                              const PredictionMatrix& qhat) {
-    check_matrix(trace, new_policy, qhat);
-    return doubly_robust_impl(trace, new_policy, MatrixQ{&qhat});
+    return doubly_robust_impl(trace, new_policy, qhat);
 }
 
 EstimateResult clipped_doubly_robust(const Trace& trace, const Policy& new_policy,
                                      const RewardModel& model,
                                      const EstimatorOptions& options) {
-    if (!(options.weight_clip > 0.0))
-        throw std::invalid_argument("clipped_doubly_robust: weight_clip must be > 0");
-    check_inputs(trace, new_policy, &model);
-    return clipped_doubly_robust_impl(trace, new_policy, ModelQ{&model}, options);
+    return clipped_doubly_robust_impl(trace, new_policy, model, options);
 }
 
 EstimateResult clipped_doubly_robust(const Trace& trace, const Policy& new_policy,
                                      const PredictionMatrix& qhat,
                                      const EstimatorOptions& options) {
-    if (!(options.weight_clip > 0.0))
-        throw std::invalid_argument("clipped_doubly_robust: weight_clip must be > 0");
-    check_matrix(trace, new_policy, qhat);
-    return clipped_doubly_robust_impl(trace, new_policy, MatrixQ{&qhat}, options);
+    return clipped_doubly_robust_impl(trace, new_policy, qhat, options);
 }
 
 EstimateResult switch_doubly_robust(const Trace& trace, const Policy& new_policy,
                                     const RewardModel& model,
                                     const EstimatorOptions& options) {
-    if (!(options.switch_threshold > 0.0))
-        throw std::invalid_argument("switch_doubly_robust: threshold must be > 0");
-    check_inputs(trace, new_policy, &model);
-    return switch_doubly_robust_impl(trace, new_policy, ModelQ{&model}, options);
+    return switch_doubly_robust_impl(trace, new_policy, model, options);
 }
 
 EstimateResult switch_doubly_robust(const Trace& trace, const Policy& new_policy,
                                     const PredictionMatrix& qhat,
                                     const EstimatorOptions& options) {
-    if (!(options.switch_threshold > 0.0))
-        throw std::invalid_argument("switch_doubly_robust: threshold must be > 0");
-    check_matrix(trace, new_policy, qhat);
-    return switch_doubly_robust_impl(trace, new_policy, MatrixQ{&qhat}, options);
+    return switch_doubly_robust_impl(trace, new_policy, qhat, options);
 }
 
 ReplayEstimate matching_replay(const Trace& trace, const Policy& new_policy) {
@@ -427,52 +428,52 @@ ReplayEstimate matching_replay(const Trace& trace, const Policy& new_policy) {
 EstimateResult self_normalized_doubly_robust(const Trace& trace,
                                              const Policy& new_policy,
                                              const RewardModel& model) {
-    check_inputs(trace, new_policy, &model);
-    return self_normalized_doubly_robust_impl(trace, new_policy, ModelQ{&model});
+    return self_normalized_doubly_robust_impl(trace, new_policy, model);
 }
 
 EstimateResult self_normalized_doubly_robust(const Trace& trace,
                                              const Policy& new_policy,
                                              const PredictionMatrix& qhat) {
-    check_matrix(trace, new_policy, qhat);
-    return self_normalized_doubly_robust_impl(trace, new_policy, MatrixQ{&qhat});
+    return self_normalized_doubly_robust_impl(trace, new_policy, qhat);
 }
 
-void fill_estimator_chunk(const Trace& chunk, const Policy& new_policy,
-                          const PredictionMatrix& qhat,
-                          const EstimatorOptions& options, EstimatorChunk& out) {
-    if (!(options.switch_threshold > 0.0))
-        throw std::invalid_argument("fill_estimator_chunk: threshold must be > 0");
-    check_matrix(chunk, new_policy, qhat);
-    const std::size_t n = chunk.size();
-    out.dm.resize(n);
-    out.ips.resize(n);
-    out.dr.resize(n);
-    out.switch_dr.resize(n);
-    out.weights.resize(n);
-    const MatrixQ q{&qhat};
-    // Serial by design: the caller (evaluate_streaming) already runs one
-    // chunk per pool task. Each expression below is copied verbatim from
-    // the per-estimator loops above, so per-tuple values match bit-for-bit.
+ChunkPartial evaluate_chunk(std::span<const LoggedTuple> tuples,
+                            const double* qhat_rows, const Policy& policy,
+                            const EstimatorOptions& options,
+                            const stats::ChunkedMeanBootstrap* bootstrap,
+                            std::uint64_t chunk_id) {
+    const std::size_t n = tuples.size();
+    const MatrixQ q{qhat_rows, policy.num_decisions()};
     std::vector<double>& probs = probs_scratch();
+    // DR values are kept only to resample them.
+    thread_local std::vector<double> dr_values;
+    if (bootstrap != nullptr) dr_values.resize(n);
+
+    ChunkPartial out;
+    out.weights.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
-        const LoggedTuple& t = chunk[k];
-        const double dm_part =
-            value_under_policy(new_policy, t.context, k, q, probs);
-        const double weight =
-            probs[static_cast<std::size_t>(t.decision)] / t.propensity;
-        const double qd = q(k, t.context, static_cast<std::size_t>(t.decision));
-        out.dm[k] = dm_part;
-        out.weights[k] = weight;
-        out.ips[k] = weight * t.reward;
-        out.dr[k] = dm_part + weight * (t.reward - qd);
-        if (weight <= options.switch_threshold) {
-            out.switch_dr[k] = dm_part + weight * (t.reward - qd);
+        const LoggedTuple& t = tuples[k];
+        const TupleTerms x = tuple_terms(policy, t, k, q, probs);
+        const double ips = x.weight * t.reward;
+        const double dr = x.dr(t.reward, x.weight);
+        out.dm.add(x.dm_part);
+        out.ips.add(ips);
+        out.dr.add(dr);
+        if (x.weight <= options.switch_threshold) {
+            out.switch_dr.add(dr);
         } else {
             DRE_COUNTER_INC("estimators.switch_model_fallbacks");
-            out.switch_dr[k] = dm_part;
+            out.switch_dr.add(x.dm_part);
         }
+        out.weight_sum += x.weight;
+        out.weighted_reward_sum += ips;
+        out.weights[k] = x.weight;
+        if (bootstrap != nullptr) dr_values[k] = dr;
     }
+    if (bootstrap != nullptr)
+        out.boot_partials = bootstrap->chunk_partials(
+            chunk_id, std::span<const double>(dr_values.data(), n));
+    return out;
 }
 
 } // namespace dre::core

@@ -128,28 +128,6 @@ ReplayEstimate matching_replay(const Trace& trace, const Policy& new_policy);
 // The importance weights w_k themselves (diagnostics & tests).
 std::vector<double> importance_weights(const Trace& trace, const Policy& new_policy);
 
-// ---------------------------------------------------------------------------
-// Streaming (out-of-core) support: per-tuple contributions of the whole
-// Evaluator estimator suite for one chunk of tuples, computed in a single
-// pass against a chunk-local prediction matrix (row k ↔ chunk[k]). The
-// arithmetic is shared with the batch overloads above — same probability /
-// propensity / q̂ expressions in the same order — so chunk-ordered
-// reductions over these arrays reproduce the batch estimates bit-for-bit
-// (see core/streaming.h for the full determinism contract).
-// ---------------------------------------------------------------------------
-
-struct EstimatorChunk {
-    std::vector<double> dm;        // DM contribution per tuple
-    std::vector<double> ips;       // w_k r_k (doubles as SNIPS's numerator)
-    std::vector<double> dr;        // DR contribution
-    std::vector<double> switch_dr; // SWITCH-DR contribution
-    std::vector<double> weights;   // importance weight w_k
-};
-
-void fill_estimator_chunk(const Trace& chunk, const Policy& new_policy,
-                          const PredictionMatrix& qhat,
-                          const EstimatorOptions& options, EstimatorChunk& out);
-
 } // namespace dre::core
 
 #endif // DRE_CORE_ESTIMATORS_H

@@ -1,8 +1,10 @@
 #include "core/evaluator.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/engine.h"
 #include "core/parallel.h"
 #include "obs/obs.h"
 
@@ -17,6 +19,7 @@ Evaluator::Evaluator(Trace trace, EvaluationConfig config, stats::Rng rng)
         TabularPropensityModel propensity_model(trace.num_decisions());
         propensity_model.fit(trace);
         trace = with_estimated_propensities(trace, propensity_model);
+        validate_trace(trace); // evaluate_with trusts every tuple
     }
 
     if (config_.cross_fit) {
@@ -45,45 +48,42 @@ PolicyEvaluation Evaluator::evaluate_with(const Policy& new_policy,
 #if DRE_OBS_ENABLED
     const std::uint64_t eval_start_ns = obs::now_ns();
 #endif
-    PolicyEvaluation out;
-    {
-        DRE_SPAN("evaluator.dm");
-        out.dm = direct_method(evaluation_trace_, new_policy, qhat_);
-    }
-    {
-        DRE_SPAN("evaluator.ips");
-        out.ips = inverse_propensity(evaluation_trace_, new_policy);
-    }
-    {
-        DRE_SPAN("evaluator.snips");
-        out.snips = self_normalized_ips(evaluation_trace_, new_policy);
-    }
-    {
-        DRE_SPAN("evaluator.dr");
-        out.dr = doubly_robust(evaluation_trace_, new_policy, qhat_);
-    }
-    {
-        DRE_SPAN("evaluator.switch_dr");
-        out.switch_dr = switch_doubly_robust(evaluation_trace_, new_policy,
-                                             qhat_, config_.estimator_options);
-    }
-    {
-        DRE_SPAN("evaluator.overlap");
-        out.overlap = overlap_diagnostics(evaluation_trace_, new_policy);
-    }
-    if (ci_replicates > 0) {
-        DRE_SPAN("evaluator.dr_ci");
-        // Chunk-keyed bootstrap (not the classic full-sample resampler):
-        // the streaming path (core/streaming.h) folds the same per-chunk
-        // partials with the same split streams, so in-memory and
-        // out-of-core CIs are bit-identical by construction.
-        out.dr_ci = stats::chunked_bootstrap_mean_ci(out.dr.per_tuple,
-                                                     out.dr.value, rng,
-                                                     ci_replicates, ci_level);
-    }
+    // The checks the per-estimator functions make, once per evaluation (the
+    // constructor already validated the tuples).
+    if (evaluation_trace_.num_decisions() > new_policy.num_decisions())
+        throw std::invalid_argument(
+            "estimator: trace uses decisions outside policy space");
+    if (qhat_.num_decisions() != new_policy.num_decisions())
+        throw std::invalid_argument(
+            "estimator: matrix/policy decision-space mismatch");
+    const EstimatorOptions& options = config_.estimator_options;
+    if (!(options.switch_threshold > 0.0))
+        throw std::invalid_argument("switch_doubly_robust: threshold must be > 0");
+
+    // The generator advances exactly once — inside the bootstrap — and only
+    // when a CI is on; evaluate_streaming follows the same protocol.
+    std::optional<stats::ChunkedMeanBootstrap> bootstrap;
+    if (ci_replicates > 0) bootstrap.emplace(rng.split(), ci_replicates, ci_level);
+    stats::ChunkedMeanBootstrap* boot = bootstrap ? &*bootstrap : nullptr;
+
+    // One engine pass per chunk over the resident tuples and q̂ rows.
+    const std::span<const LoggedTuple> tuples = evaluation_trace_.tuples();
+    const std::size_t chunks =
+        (tuples.size() + par::kReduceChunk - 1) / par::kReduceChunk;
+    std::vector<ChunkPartial> partials(chunks);
+    par::parallel_for(chunks, [&](std::size_t c) {
+        const std::size_t begin = c * par::kReduceChunk;
+        partials[c] = evaluate_chunk(
+            tuples.subspan(begin, std::min(par::kReduceChunk,
+                                           tuples.size() - begin)),
+            qhat_.row(begin), new_policy, options, boot, c);
+    });
+    RunState state;
+    for (const ChunkPartial& partial : partials)
+        state.merge(partial, boot);
+    PolicyEvaluation out = finalize(state, boot);
 #if DRE_OBS_ENABLED
-    // Throughput across the five estimator passes (six trace sweeps plus
-    // diagnostics); timing-derived, so diagnostics-only — never fingerprinted.
+    // Timing-derived, so diagnostics-only — never fingerprinted.
     const double elapsed_s =
         static_cast<double>(obs::now_ns() - eval_start_ns) / 1e9;
     if (elapsed_s > 0.0) {

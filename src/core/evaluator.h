@@ -35,6 +35,8 @@ struct EvaluationConfig {
     double ci_level = 0.95;
 };
 
+// Values only: the EstimateResult::per_tuple vectors stay empty (the
+// per-estimator functions in core/estimators.h fill them).
 struct PolicyEvaluation {
     EstimateResult dm;
     EstimateResult ips;

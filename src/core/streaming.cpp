@@ -12,7 +12,7 @@
 
 #include <unistd.h>
 
-#include "core/estimators.h"
+#include "core/engine.h"
 #include "core/parallel.h"
 #include "core/qhat.h"
 #include "fault/fault.h"
@@ -26,7 +26,7 @@ namespace dre::core {
 void TraceTupleSource::read(std::uint64_t begin, std::uint64_t count,
                             std::vector<LoggedTuple>& out) const {
     out.clear();
-    if (begin + count > trace_->size())
+    if (count > trace_->size() || begin > trace_->size() - count)
         throw std::out_of_range("TraceTupleSource: read past end of trace");
     out.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i)
@@ -56,25 +56,35 @@ double QuarantineReport::coverage() const noexcept {
            static_cast<double>(tuples_total);
 }
 
+namespace {
+
+// Appends `rec`, coalescing it into the previous record when contiguous
+// with the same reason and shard; past the cap it is only counted.
+void append_record(QuarantineReport& report, QuarantineRecord rec) {
+    if (!report.records.empty()) {
+        QuarantineRecord& last = report.records.back();
+        if (last.begin + last.count == rec.begin && last.reason == rec.reason &&
+            last.shard == rec.shard) {
+            last.count += rec.count;
+            return;
+        }
+    }
+    if (report.records.size() >= QuarantineReport::kMaxRecords) {
+        ++report.records_dropped;
+        return;
+    }
+    report.records.push_back(std::move(rec));
+}
+
+} // namespace
+
 void QuarantineReport::add(std::uint64_t begin, std::uint64_t count,
                            const std::string& reason, std::int64_t shard) {
     if (count == 0) return;
     tuples_quarantined += count;
     reason_counts[reason] += count;
     shard_counts[shard] += count;
-    if (!records.empty()) {
-        QuarantineRecord& last = records.back();
-        if (last.begin + last.count == begin && last.reason == reason &&
-            last.shard == shard) {
-            last.count += count;
-            return;
-        }
-    }
-    if (records.size() >= kMaxRecords) {
-        ++records_dropped;
-        return;
-    }
-    records.push_back({begin, count, reason, shard});
+    append_record(*this, {begin, count, reason, shard});
 }
 
 void QuarantineReport::merge(const QuarantineReport& other) {
@@ -84,21 +94,7 @@ void QuarantineReport::merge(const QuarantineReport& other) {
         reason_counts[reason] += n;
     for (const auto& [shard, n] : other.shard_counts) shard_counts[shard] += n;
     records_dropped += other.records_dropped;
-    for (const QuarantineRecord& rec : other.records) {
-        if (!records.empty()) {
-            QuarantineRecord& last = records.back();
-            if (last.begin + last.count == rec.begin &&
-                last.reason == rec.reason && last.shard == rec.shard) {
-                last.count += rec.count;
-                continue;
-            }
-        }
-        if (records.size() >= kMaxRecords) {
-            ++records_dropped;
-            continue;
-        }
-        records.push_back(rec);
-    }
+    for (const QuarantineRecord& rec : other.records) append_record(*this, rec);
 }
 
 std::string QuarantineReport::to_text() const {
@@ -215,13 +211,9 @@ struct Parser {
 // Everything evaluate_streaming folds across chunks, checkpointable as a
 // unit. The bootstrap replicate sums travel alongside (they live in the
 // ChunkedMeanBootstrap).
-struct RunState {
+struct StreamState {
     std::uint64_t next_chunk = 0; // first chunk NOT yet merged
-    par::MeanState dm, ips, dr, switch_dr;
-    double weight_total = 0.0, weighted_reward_total = 0.0;
-    double o_sum = 0.0, o_sum_sq = 0.0, o_max = 0.0;
-    std::uint64_t o_zeros = 0;
-    stats::Accumulator weight_acc;
+    RunState run;
     QuarantineReport quarantine;
 };
 
@@ -314,24 +306,21 @@ std::uint64_t config_hash(std::uint64_t n, const StreamingOptions& options,
 }
 
 void write_checkpoint(const std::string& path, std::uint64_t hash,
-                      const RunState& state,
+                      const StreamState& state,
                       const std::optional<stats::ChunkedMeanBootstrap>&
                           bootstrap) {
     Serializer s;
     s.buf.append(kCheckpointMagic, sizeof kCheckpointMagic);
     s.u64(hash);
     s.u64(state.next_chunk);
-    put_mean_state(s, state.dm);
-    put_mean_state(s, state.ips);
-    put_mean_state(s, state.dr);
-    put_mean_state(s, state.switch_dr);
-    s.f64(state.weight_total);
-    s.f64(state.weighted_reward_total);
-    s.f64(state.o_sum);
-    s.f64(state.o_sum_sq);
-    s.f64(state.o_max);
-    s.u64(state.o_zeros);
-    const stats::Accumulator::State acc = state.weight_acc.state();
+    const RunState& run = state.run;
+    for (const par::MeanState* m : {&run.dm, &run.ips, &run.dr, &run.switch_dr})
+        put_mean_state(s, *m);
+    for (const double x : {run.weight_total, run.weighted_reward_total,
+                           run.o_sum, run.o_sum_sq, run.o_max})
+        s.f64(x);
+    s.u64(run.o_zeros);
+    const stats::Accumulator::State acc = run.weight_acc.state();
     s.u64(acc.n);
     s.f64(acc.mean);
     s.f64(acc.m2);
@@ -368,7 +357,7 @@ void write_checkpoint(const std::string& path, std::uint64_t hash,
 // file does not exist; throws on any malformed or mismatched content — a
 // damaged checkpoint must never silently fall back to a fresh run.
 bool load_checkpoint(const std::string& path, std::uint64_t hash,
-                     RunState& state,
+                     StreamState& state,
                      std::optional<stats::ChunkedMeanBootstrap>& bootstrap) {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) return false;
@@ -395,16 +384,13 @@ bool load_checkpoint(const std::string& path, std::uint64_t hash,
                   " was written by a run with different options, data size, "
                   "or seed — refusing to resume");
     state.next_chunk = p.u64();
-    state.dm = get_mean_state(p);
-    state.ips = get_mean_state(p);
-    state.dr = get_mean_state(p);
-    state.switch_dr = get_mean_state(p);
-    state.weight_total = p.f64();
-    state.weighted_reward_total = p.f64();
-    state.o_sum = p.f64();
-    state.o_sum_sq = p.f64();
-    state.o_max = p.f64();
-    state.o_zeros = p.u64();
+    RunState& run = state.run;
+    for (par::MeanState* m : {&run.dm, &run.ips, &run.dr, &run.switch_dr})
+        *m = get_mean_state(p);
+    for (double* x : {&run.weight_total, &run.weighted_reward_total,
+                      &run.o_sum, &run.o_sum_sq, &run.o_max})
+        *x = p.f64();
+    run.o_zeros = p.u64();
     stats::Accumulator::State acc;
     acc.n = static_cast<std::size_t>(p.u64());
     acc.mean = p.f64();
@@ -412,7 +398,7 @@ bool load_checkpoint(const std::string& path, std::uint64_t hash,
     acc.sum = p.f64();
     acc.min = p.f64();
     acc.max = p.f64();
-    state.weight_acc = stats::Accumulator::from_state(acc);
+    run.weight_acc = stats::Accumulator::from_state(acc);
     const bool has_bootstrap = p.u64() != 0;
     if (has_bootstrap != bootstrap.has_value())
         ckpt_fail("bootstrap presence mismatch"); // config hash covers this
@@ -436,13 +422,8 @@ bool load_checkpoint(const std::string& path, std::uint64_t hash,
 // Everything evaluate_streaming keeps per in-flight chunk. Folded into the
 // running totals strictly in chunk order, then discarded.
 struct ChunkResult {
-    par::MeanState dm, ips, dr, switch_dr;
-    double weight_sum = 0.0;
-    double weighted_reward_sum = 0.0; // Σ w_k r_k (SNIPS numerator)
-    std::uint64_t evaluated = 0;      // tuples that reached the estimators
-    std::vector<double> weights;      // for the in-order overlap fold
-    std::vector<double> boot_partials; // per-replicate DR resample sums
-    QuarantineReport quarantine;       // this chunk's skipped tuples
+    ChunkPartial partial;        // the engine's fold of the kept tuples
+    QuarantineReport quarantine; // this chunk's skipped tuples
 };
 
 const char* stream_fault_reason(fault::FaultKind kind) noexcept {
@@ -476,6 +457,9 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
     if (options.resume && options.checkpoint_path.empty())
         throw std::invalid_argument(
             "evaluate_streaming: resume requires a checkpoint path");
+    if (!(options.estimator_options.switch_threshold > 0.0))
+        throw std::invalid_argument(
+            "evaluate_streaming: SWITCH threshold must be > 0");
     const bool tolerant = options.on_error != FailureMode::kStrict;
 
     // RNG protocol matches Evaluator::evaluate_with: the generator advances
@@ -483,6 +467,7 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
     std::optional<stats::ChunkedMeanBootstrap> bootstrap;
     if (options.ci_replicates > 0)
         bootstrap.emplace(rng.split(), options.ci_replicates, options.ci_level);
+    stats::ChunkedMeanBootstrap* boot = bootstrap ? &*bootstrap : nullptr;
 
     // Chunk geometry is the *global tuple index* over kReduceChunk — the
     // same boundaries par::chunked_mean/chunked_sum use on the in-memory
@@ -494,11 +479,7 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
             ? options.wave_chunks
             : std::max<std::size_t>(4 * par::thread_count(), 1);
 
-    // Running totals, each folded exactly as its in-memory counterpart:
-    // MeanState merges for the chunked means, left-fold sums for SNIPS.
-    // Overlap diagnostics run the same serial folds overlap_diagnostics()
-    // uses on the full weight vector, carried across chunks in index order.
-    RunState state;
+    StreamState state;
     state.quarantine.tuples_total = n;
 
     const std::uint64_t hash = config_hash(n, options, bootstrap);
@@ -591,28 +572,23 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
 
             if (!kept.empty()) {
                 const Trace chunk(std::move(kept));
-                r.evaluated = chunk.size();
+                // A strict run fails on the first unsound tuple; the
+                // tolerant modes quarantined them above.
+                if (!tolerant) {
+                    validate_trace(chunk);
+                    if (chunk.num_decisions() > decision_space)
+                        throw std::invalid_argument(
+                            "estimator: trace uses decisions outside "
+                            "policy space");
+                }
                 // Chunk-local q̂ block. build() inlines serially inside a
                 // pool task and each slot is a pure function of (model,
                 // tuple, d), so the block equals the matching rows of the
                 // full matrix.
                 const PredictionMatrix qhat =
                     PredictionMatrix::build(model, chunk);
-                EstimatorChunk ec;
-                fill_estimator_chunk(chunk, policy, qhat,
-                                     options.estimator_options, ec);
-                for (double x : ec.dm) r.dm.add(x);
-                for (double x : ec.ips) r.ips.add(x);
-                for (double x : ec.dr) r.dr.add(x);
-                for (double x : ec.switch_dr) r.switch_dr.add(x);
-                double w_sum = 0.0, wr_sum = 0.0;
-                for (double w : ec.weights) w_sum += w;
-                for (double x : ec.ips) wr_sum += x;
-                r.weight_sum = w_sum;
-                r.weighted_reward_sum = wr_sum;
-                if (bootstrap)
-                    r.boot_partials = bootstrap->chunk_partials(c, ec.dr);
-                r.weights = std::move(ec.weights);
+                r.partial = evaluate_chunk(chunk.tuples(), qhat.row(0), policy,
+                                           options.estimator_options, boot, c);
             }
             wave_results[i] = std::move(r);
 #if DRE_OBS_ENABLED
@@ -624,22 +600,8 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
         // cannot depend on thread count or chunk completion order.
         for (std::size_t i = 0; i < count; ++i) {
             ChunkResult& r = wave_results[i];
-            state.dm.merge(r.dm);
-            state.ips.merge(r.ips);
-            state.dr.merge(r.dr);
-            state.switch_dr.merge(r.switch_dr);
-            state.weight_total += r.weight_sum;
-            state.weighted_reward_total += r.weighted_reward_sum;
-            for (double w : r.weights) {
-                state.o_sum += w;
-                state.o_sum_sq += w * w;
-                state.o_max = std::max(state.o_max, w);
-                if (w == 0.0) ++state.o_zeros;
-                state.weight_acc.add(w);
-            }
-            if (bootstrap && !r.boot_partials.empty())
-                bootstrap->merge(r.boot_partials);
-            state.quarantine.tuples_evaluated += r.evaluated;
+            state.run.merge(r.partial, boot);
+            state.quarantine.tuples_evaluated += r.partial.dm.n;
             state.quarantine.merge(r.quarantine);
             r = ChunkResult{}; // release chunk memory before the next wave
         }
@@ -663,61 +625,25 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
     }
 #endif
 
-    const std::uint64_t evaluated = state.quarantine.tuples_evaluated;
-    if (evaluated == 0)
+    if (state.quarantine.tuples_evaluated == 0)
         throw std::runtime_error(
             "evaluate_streaming: every tuple was quarantined (coverage 0) — "
             "no estimate is possible");
 
+    // Denominators are the *evaluated* tuple count: the estimates are exact
+    // over the surviving sub-trace (== n in strict/clean runs).
     StreamingResult result;
     result.quarantine = std::move(state.quarantine);
-    PolicyEvaluation& out = result.evaluation;
-    out.dm.value = state.dm.mean;
-    out.dm.estimator = "DM";
-    out.ips.value = state.ips.mean;
-    out.ips.estimator = "IPS";
-    out.snips.estimator = "SNIPS";
-    out.snips.value = state.weight_total <= 0.0
-                          ? 0.0
-                          : state.weighted_reward_total / state.weight_total;
-    out.dr.value = state.dr.mean;
-    out.dr.estimator = "DR";
-    out.switch_dr.value = state.switch_dr.mean;
-    out.switch_dr.estimator = "SWITCH-DR";
-
-    // Denominators are the *evaluated* tuple count: the estimates are exact
-    // over the surviving sub-trace (== n in strict/clean runs, preserving
-    // the historical bit-identical results).
-    OverlapDiagnostics& diag = out.overlap;
-    const auto dn = static_cast<double>(evaluated);
-    diag.n = static_cast<std::size_t>(evaluated);
-    diag.max_weight = state.o_max;
-    diag.mean_weight = state.o_sum / dn;
-    diag.effective_sample_size =
-        state.o_sum_sq > 0.0 ? state.o_sum * state.o_sum / state.o_sum_sq
-                             : 0.0;
-    diag.effective_sample_fraction = diag.effective_sample_size / dn;
-    const double var = state.weight_acc.variance();
-    diag.weight_cv =
-        diag.mean_weight > 0.0 ? std::sqrt(var) / diag.mean_weight : 0.0;
-    diag.zero_weight_fraction = static_cast<double>(state.o_zeros) / dn;
-    DRE_GAUGE_SET("estimators.effective_sample_size",
-                  diag.effective_sample_size);
-    DRE_GAUGE_SET("estimators.effective_sample_fraction",
-                  diag.effective_sample_fraction);
-
-    if (bootstrap) {
-        out.dr_ci = bootstrap->finalize(evaluated, out.dr.value);
-        if (options.on_error == FailureMode::kDegrade) {
-            // Coverage-qualified CI: divide each half-width by the coverage
-            // fraction. Deterministic, monotone in the quarantined mass,
-            // and the identity transform for a clean run.
-            const double coverage = result.quarantine.coverage();
-            if (coverage < 1.0 && coverage > 0.0) {
-                stats::ConfidenceInterval& ci = *out.dr_ci;
-                ci.lower = ci.point - (ci.point - ci.lower) / coverage;
-                ci.upper = ci.point + (ci.upper - ci.point) / coverage;
-            }
+    result.evaluation = finalize(state.run, boot);
+    if (bootstrap && options.on_error == FailureMode::kDegrade) {
+        // Coverage-qualified CI: divide each half-width by the coverage
+        // fraction. Deterministic, monotone in the quarantined mass, and
+        // the identity transform for a clean run.
+        const double coverage = result.quarantine.coverage();
+        if (coverage < 1.0 && coverage > 0.0) {
+            stats::ConfidenceInterval& ci = *result.evaluation.dr_ci;
+            ci.lower = ci.point - (ci.point - ci.lower) / coverage;
+            ci.upper = ci.point + (ci.upper - ci.point) / coverage;
         }
     }
     return result;

@@ -5,27 +5,26 @@
 // SNIPS, DR, SWITCH-DR, overlap diagnostics, DR bootstrap CI) over a
 // TupleSource without ever materializing the trace: tuples are pulled one
 // reduction chunk (par::kReduceChunk) at a time, each chunk builds its own
-// PredictionMatrix block and per-tuple estimator contributions, and the
-// chunk partials are folded *in chunk order* into the running totals.
+// PredictionMatrix block and runs the engine's chunk kernel over it
+// (core/engine.h), and the chunk partials are folded *in chunk order*
+// into the running totals.
 //
 // Determinism contract (DESIGN.md §9): the chunk geometry is the global
 // tuple index — independent of thread count, row-group size, and shard
-// split — and every reduction uses exactly the arithmetic of the in-memory
-// path (par::MeanState partials merged left-to-right, left-fold sums,
-// serial-order overlap folds, and the chunk-keyed bootstrap of
-// stats::ChunkedMeanBootstrap). Point estimates AND bootstrap CIs are
-// therefore bit-identical to Evaluator::evaluate on the same tuples, for
-// any DRE_THREADS and any shard layout. Memory is O(chunks-in-flight ×
+// split — and Evaluator runs the very same kernel, merge and finalize over
+// its resident trace. Point estimates AND bootstrap CIs are therefore
+// bit-identical to Evaluator::evaluate on the same tuples by construction,
+// for any DRE_THREADS and any shard layout. Memory is O(chunks-in-flight ×
 // chunk), not O(trace).
 //
 // Failure handling (DESIGN.md §10): `evaluate_streaming_guarded` adds
-// three failure modes on top of the same arithmetic.
+// three failure modes around the same engine.
 //
 //   kStrict      today's behavior: fail-stop. The first I/O error,
 //                corruption, or injected fault (after the source's retry
 //                policy runs) aborts the run with an exception, and a
-//                structurally invalid tuple aborts it too (the per-chunk
-//                estimator validates its input).
+//                structurally invalid tuple aborts it too (each chunk is
+//                validated before it reaches the kernel).
 //   kQuarantine  damaged row groups (via TupleSource::read_tolerant) and
 //                structurally invalid tuples (trace/validate.h) are
 //                *skipped* and recorded in a QuarantineReport. Estimator
@@ -109,7 +108,8 @@ public:
 };
 
 // Adapter over an in-memory Trace (reference semantics — the trace must
-// outlive the source). Used by tests to prove streaming == in-memory.
+// outlive the source). Copies each tuple it reads; Evaluator reads its
+// resident trace directly instead.
 class TraceTupleSource final : public TupleSource {
 public:
     explicit TraceTupleSource(const Trace& trace) : trace_(&trace) {}
@@ -230,11 +230,10 @@ struct StreamingResult {
 // Streams `source` through `model` and `policy` with full failure
 // handling. The model must already be fitted (fit on a bounded sample for
 // true out-of-core runs, or reuse Evaluator::reward_model() when comparing
-// paths). Under kStrict with no checkpoint, the evaluation matches
-// Evaluator::evaluate bit-for-bit except that the per-tuple contribution
-// vectors are left empty — they are exactly what streaming refuses to
-// materialize. Under the tolerant modes the estimates are exact over the
-// surviving tuples; throws if *every* tuple is quarantined.
+// paths). Under kStrict the evaluation matches Evaluator::evaluate
+// bit-for-bit (neither carries per-tuple contribution vectors). Under the
+// tolerant modes the estimates are exact over the surviving tuples;
+// throws if *every* tuple is quarantined.
 StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                                            const RewardModel& model,
                                            const Policy& policy,

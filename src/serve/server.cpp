@@ -154,7 +154,12 @@ void EvalServer::start() {
 }
 
 void EvalServer::request_stop() {
-    stop_.store(true);
+    // Under the queue mutex, like io_done_: set between the dispatcher's
+    // predicate check and its wait, the flag's wakeup would be lost.
+    {
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        stop_.store(true);
+    }
     wake_io();
     queue_cv_.notify_all();
 }
@@ -574,7 +579,10 @@ void EvalServer::io_loop() {
     }
     ::close(listen_fd_);
     listen_fd_ = -1;
-    io_done_.store(true, std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        io_done_.store(true, std::memory_order_release);
+    }
     queue_cv_.notify_all();
 }
 

@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -111,6 +112,12 @@ public:
     CacheStats cache_stats() const { return cache_.stats(); }
 
 private:
+    // Both public entry points: the full trace when `brownout_coverage` is
+    // empty, else the brownout prefix for that coverage.
+    ResultMsg evaluate_body(const EvaluateMsg& request,
+                            std::optional<double> brownout_coverage,
+                            EvalPhases* phases, const DeadlineFn& deadline);
+
     Options options_;
     EvalCache cache_;
 };

@@ -440,9 +440,9 @@ void StoreReader::read_rows(std::uint64_t begin, std::uint64_t count,
                             std::vector<LoggedTuple>& out) const {
     const Impl& im = *impl_;
     out.clear();
-    if (begin + count > im.header.num_tuples)
-        fail(im.path, "read_rows range [" + std::to_string(begin) + ", " +
-                          std::to_string(begin + count) + ") exceeds " +
+    if (count > im.header.num_tuples || begin > im.header.num_tuples - count)
+        fail(im.path, "read_rows of " + std::to_string(count) +
+                          " rows at " + std::to_string(begin) + " exceeds " +
                           std::to_string(im.header.num_tuples) + " tuples");
     if (count == 0) return;
     out.reserve(count);
@@ -470,9 +470,9 @@ void StoreReader::read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
                                      std::vector<ReadFailure>& failures) const {
     const Impl& im = *impl_;
     out.clear();
-    if (begin + count > im.header.num_tuples)
-        fail(im.path, "read_rows range [" + std::to_string(begin) + ", " +
-                          std::to_string(begin + count) + ") exceeds " +
+    if (count > im.header.num_tuples || begin > im.header.num_tuples - count)
+        fail(im.path, "read_rows of " + std::to_string(count) +
+                          " rows at " + std::to_string(begin) + " exceeds " +
                           std::to_string(im.header.num_tuples) + " tuples");
     if (count == 0) return;
     out.reserve(count);

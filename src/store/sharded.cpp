@@ -60,10 +60,10 @@ std::uint64_t ShardedStore::num_tuples() const noexcept {
 void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
                              std::vector<LoggedTuple>& out) const {
     out.clear();
-    if (begin + count > num_tuples())
+    if (count > num_tuples() || begin > num_tuples() - count)
         throw std::out_of_range(
-            "ShardedStore: read_rows range [" + std::to_string(begin) + ", " +
-            std::to_string(begin + count) + ") exceeds " +
+            "ShardedStore: read_rows of " + std::to_string(count) +
+            " rows at " + std::to_string(begin) + " exceeds " +
             std::to_string(num_tuples()) + " tuples");
     if (count == 0) return;
     out.reserve(count);
@@ -91,10 +91,10 @@ void ShardedStore::read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
                                       std::vector<LoggedTuple>& out,
                                       std::vector<ReadFailure>& failures) const {
     out.clear();
-    if (begin + count > num_tuples())
+    if (count > num_tuples() || begin > num_tuples() - count)
         throw std::out_of_range(
-            "ShardedStore: read_rows range [" + std::to_string(begin) + ", " +
-            std::to_string(begin + count) + ") exceeds " +
+            "ShardedStore: read_rows of " + std::to_string(count) +
+            " rows at " + std::to_string(begin) + " exceeds " +
             std::to_string(num_tuples()) + " tuples");
     if (count == 0) return;
     out.reserve(count);

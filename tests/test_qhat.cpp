@@ -1,6 +1,8 @@
 // The PredictionMatrix contract: estimators reading q̂ from the shared
 // matrix are bit-identical to estimators querying the reward model directly
 // — same values, same per-tuple contributions. EXPECT_EQ on raw doubles.
+// The engine that reads the matrix in Evaluator and evaluate_streaming is
+// held to the six-pass oracle (estimator_oracle.h).
 #include "core/qhat.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +11,10 @@
 
 #include "core/estimators.h"
 #include "core/evaluator.h"
+#include "core/parallel.h"
 #include "core/policy.h"
 #include "core/reward_model.h"
+#include "estimator_oracle.h"
 #include "stats/rng.h"
 
 namespace dre::core {
@@ -111,14 +115,43 @@ TEST(PredictionMatrix, EvaluatorUsesSharedMatrix) {
     ASSERT_EQ(qhat.num_tuples(), evaluator.evaluation_trace().size());
 
     // Evaluator results (matrix path) equal the hand-run model path.
+    // Evaluator reports values only; per-tuple contributions stay with the
+    // per-estimator functions.
     UniformRandomPolicy policy(3);
     const PolicyEvaluation eval = evaluator.evaluate(policy);
-    expect_identical(
-        eval.dm, direct_method(evaluator.evaluation_trace(), policy,
-                               evaluator.reward_model()));
-    expect_identical(
-        eval.dr, doubly_robust(evaluator.evaluation_trace(), policy,
-                               evaluator.reward_model()));
+    EXPECT_TRUE(eval.dm.per_tuple.empty());
+    EXPECT_TRUE(eval.dr.per_tuple.empty());
+    EXPECT_EQ(eval.dm.value, direct_method(evaluator.evaluation_trace(), policy,
+                                           evaluator.reward_model())
+                                 .value);
+    EXPECT_EQ(eval.dr.value, doubly_robust(evaluator.evaluation_trace(), policy,
+                                           evaluator.reward_model())
+                                 .value);
+}
+
+// Evaluator and evaluate_streaming against the six-pass oracle, bit for
+// bit, below, at and one past a multiple of the reduction chunk, for a
+// stochastic policy and one with zero-probability decisions. Both put
+// weight 2.6 or 3 on some logged decisions, above the 2.5 threshold, so
+// SWITCH-DR falls back.
+TEST(PredictionMatrix, EngineMatchesSixPassOracle) {
+    const auto base = std::make_shared<DeterministicPolicy>(
+        3, [](const ClientContext& c) {
+            return static_cast<Decision>(c.numeric[0] > 0.0 ? 1 : 2);
+        });
+    const EpsilonGreedyPolicy stochastic(base, 0.2);
+    EvaluationConfig config;
+    config.reward_model = RewardModelKind::kKnn;
+    config.estimator_options.switch_threshold = 2.5;
+    for (const std::size_t n : {par::kReduceChunk - 1, par::kReduceChunk,
+                                par::kReduceChunk + 1}) {
+        stats::Rng rng(35);
+        const Evaluator evaluator(random_trace(n, 3, rng), config,
+                                  stats::Rng(8));
+        oracle::expect_front_ends_match_oracle(
+            evaluator, {&stochastic, base.get()}, config.estimator_options,
+            "random trace");
+    }
 }
 
 } // namespace

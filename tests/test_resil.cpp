@@ -730,10 +730,13 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
             bg_failure = e.what();
         }
     });
-    // Wait until the heavy job is *computing* (admitted and dequeued)...
+    // Wait until the heavy job is *computing* (admitted and dequeued): its
+    // policy lookup, the second policy miss, happens only in the
+    // dispatcher. (requests_total counts a request before admission, so it
+    // cannot tell a computing job from one not yet queued.)
     while (true) {
         const serve::StatsReplyMsg s = server.stats_snapshot();
-        if (s.requests_total >= 2 && s.queue_depth == 0) break;
+        if (s.policy_misses >= 2 && s.queue_depth == 0) break;
         std::this_thread::yield();
     }
     // ...then park a full-fidelity job behind it.

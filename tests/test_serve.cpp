@@ -4,9 +4,12 @@
 // coalescing, and graceful shutdown. The concurrent cases run under TSan
 // in CI (8 client threads against the io + dispatcher threads).
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -564,6 +567,55 @@ TEST(ServeServerTest, GracefulStopDrainsQueuedWork) {
     server.stop_and_join();
     for (std::size_t c = 0; c < kClients; ++c)
         EXPECT_EQ(failures[c], "") << "client " << c;
+}
+
+// Liveness of shutdown: stop_and_join must return while clients are still
+// sending, on every one of many servers started and stopped in sequence.
+// A stop flag set between the dispatcher's predicate check and its wait,
+// without the queue mutex, loses its wakeup; a rare interleaving, hence
+// the many rounds.
+TEST(ServeServerTest, StopAndJoinReturnsUnderLoadEveryTime) {
+    TempDir dir;
+    const std::string path = dir.file("trace.csv");
+    write_csv_file(make_trace(120), path);
+    constexpr int kServers = 200;
+    constexpr std::size_t kClients = 2;
+    for (int round = 0; round < kServers; ++round) {
+        serve::EvalServer server;
+        server.start();
+        std::atomic<bool> stopping{false};
+        std::vector<std::thread> clients;
+        for (std::size_t c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                try {
+                    serve::Client client(server.port());
+                    for (std::uint64_t i = 0; !stopping.load(); ++i)
+                        (void)client.evaluate(
+                            make_request(path, "uniform", 1000 * c + i));
+                } catch (const std::exception&) {
+                    // The stopping server closed the connection.
+                }
+            });
+        }
+        while (server.stats_snapshot().requests_total < kClients)
+            std::this_thread::yield();
+        std::promise<void> stopped;
+        std::future<void> done = stopped.get_future();
+        std::thread stopper([&] {
+            server.stop_and_join();
+            stopped.set_value();
+        });
+        if (done.wait_for(std::chrono::seconds(10)) !=
+            std::future_status::ready) {
+            // A hung dispatcher cannot be joined; end the process with a
+            // clear message rather than hang the suite.
+            std::fprintf(stderr, "stop_and_join hung on server %d\n", round);
+            std::_Exit(1);
+        }
+        stopper.join();
+        stopping.store(true);
+        for (std::thread& t : clients) t.join();
+    }
 }
 
 // --- telemetry pipeline -----------------------------------------------------

@@ -14,8 +14,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cdn/scenario.h"
@@ -199,6 +201,37 @@ TEST(StoreReaderTest, RandomAccessMatchesSlices) {
                   0)
             << "row " << i;
     EXPECT_THROW(reader.read_rows(400, 200, rows), std::runtime_error);
+}
+
+// begin + count wraps past 2^64 for these ranges; each must still be
+// rejected instead of silently reading nothing.
+TEST(StoreReaderTest, WrappingRangesAreRejected) {
+    TempDir tmp;
+    const Trace trace = cdn_trace(300);
+    const std::string single = tmp.path("wrap.drt");
+    write_store_file(trace, single, StoreWriter::Options{128});
+    const StoreReader reader(single);
+    const ShardedStore sharded(
+        split_store(ShardedStore({single}), tmp.path("wrap-"), 2,
+                    StoreWriter::Options{128}));
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::vector<LoggedTuple> rows;
+    std::vector<ReadFailure> failures;
+    for (const auto& [begin, count] :
+         {std::pair{kMax, std::uint64_t{2}}, std::pair{std::uint64_t{1}, kMax},
+          std::pair{kMax, kMax}}) {
+        EXPECT_THROW(reader.read_rows(begin, count, rows), std::runtime_error);
+        EXPECT_THROW(reader.read_rows_tolerant(begin, count, rows, failures),
+                     std::runtime_error);
+        EXPECT_THROW(sharded.read_rows(begin, count, rows), std::out_of_range);
+        EXPECT_THROW(sharded.read_rows_tolerant(begin, count, rows, failures),
+                     std::out_of_range);
+    }
+    // The last row is still reachable.
+    reader.read_rows(299, 1, rows);
+    EXPECT_EQ(rows.size(), 1u);
+    sharded.read_rows(299, 1, rows);
+    EXPECT_EQ(rows.size(), 1u);
 }
 
 TEST(ShardedStoreTest, SplitAndConcatPreserveGlobalOrder) {

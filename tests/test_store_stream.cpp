@@ -1,9 +1,11 @@
 // Streaming-vs-in-memory determinism contract (DESIGN.md §9).
 //
-// evaluate_streaming must reproduce core::Evaluator bit-for-bit — every
-// point estimate, the overlap diagnostics, and both bootstrap CI endpoints
-// — for any thread count, I/O backend, and shard split. The golden
-// fingerprint pins the actual values across commits: regenerate with
+// evaluate_streaming and core::Evaluator run the same engine
+// (core/engine.h); both must reproduce the six-pass oracle
+// (estimator_oracle.h) bit-for-bit — every point estimate, the overlap
+// diagnostics, and both bootstrap CI endpoints — for any thread count, I/O
+// backend, and shard split. The golden fingerprint pins the actual values
+// across commits: regenerate with
 //   DRE_UPDATE_STORE_GOLDEN=1 ./test_store_stream
 // after an *intentional* numerics change.
 #include "core/streaming.h"
@@ -14,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "core/evaluator.h"
 #include "core/parallel.h"
 #include "core/policy.h"
+#include "estimator_oracle.h"
 #include "stats/rng.h"
 #include "store/sharded.h"
 #include "store/writer.h"
@@ -92,8 +96,9 @@ TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
     config.ci_replicates = 200;
     const Evaluator evaluator(trace, config, stats::Rng(7));
     const UniformRandomPolicy policy(trace.num_decisions());
-    const PolicyEvaluation reference = evaluator.evaluate(policy);
-    const std::string want = fingerprint(reference);
+    const std::string want = fingerprint(oracle::six_pass_oracle(
+        trace, policy, evaluator.prediction_matrix(), {}, stats::Rng(7), 200));
+    ASSERT_EQ(fingerprint(evaluator.evaluate(policy)), want);
 
     const fs::path dir = fs::temp_directory_path() / "dre_test_stream";
     fs::remove_all(dir);
@@ -135,6 +140,26 @@ TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
 
     std::error_code ec;
     fs::remove_all(dir, ec);
+}
+
+// Both front ends against the oracle below, at and one past a multiple of
+// the reduction chunk. The constant policy has zero-probability decisions;
+// both policies' weights exceed the SWITCH threshold on some tuples.
+TEST(StreamingEvaluation, BothFrontEndsMatchSixPassOracle) {
+    EvaluationConfig config;
+    config.reward_model = RewardModelKind::kKnn; // residuals do not cancel
+    config.estimator_options.switch_threshold = 1.5;
+    for (const std::size_t n : {par::kReduceChunk - 1, par::kReduceChunk,
+                                par::kReduceChunk + 1}) {
+        const Evaluator evaluator(cdn_trace(n), config, stats::Rng(4));
+        const std::size_t decisions = evaluator.evaluation_trace().num_decisions();
+        const UniformRandomPolicy uniform(decisions);
+        const DeterministicPolicy constant(
+            decisions, [](const ClientContext&) { return Decision{1}; });
+        oracle::expect_front_ends_match_oracle(
+            evaluator, {&uniform, &constant}, config.estimator_options,
+            "cdn trace");
+    }
 }
 
 TEST(StreamingEvaluation, WaveSizeNeverAffectsResults) {
@@ -191,6 +216,18 @@ TEST(StreamingEvaluation, RejectsBadInputs) {
     EXPECT_THROW(evaluate_streaming(source, evaluator.reward_model(), narrow,
                                     options, stats::Rng(1)),
                  std::invalid_argument);
+}
+
+TEST(StreamingEvaluation, TraceSourceRejectsWrappingRanges) {
+    const Trace trace = cdn_trace(50);
+    const TraceTupleSource source(trace);
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::vector<LoggedTuple> rows;
+    EXPECT_THROW(source.read(kMax, 2, rows), std::out_of_range);
+    EXPECT_THROW(source.read(1, kMax, rows), std::out_of_range);
+    EXPECT_THROW(source.read(40, 11, rows), std::out_of_range);
+    source.read(40, 10, rows);
+    EXPECT_EQ(rows.size(), 10u);
 }
 
 // The checked-in fingerprint: catches silent numerics drift in either path

@@ -2,6 +2,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/environment.h"
 #include "core/estimators.h"
@@ -90,11 +91,40 @@ void BM_FitTabularModel(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+// The q̂ row fill (predict_rows, as the streaming chunk pass calls it) over
+// contexts the table mostly misses (range(1) == 0: a trace the model was
+// not fitted on; its continuous features never repeat) or mostly hits
+// (range(1) == 1: the fitted trace itself).
+void BM_TabularPredictRow(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const Fixture fx(n);
+    Trace unseen;
+    if (state.range(1) == 0) {
+        BenchEnv env;
+        stats::Rng rng(2);
+        unseen = core::collect_trace(
+            env, core::UniformRandomPolicy(env.num_decisions()), n, rng);
+    }
+    const Trace& probe = state.range(1) == 0 ? unseen : fx.trace;
+    std::vector<const ClientContext*> contexts(n);
+    for (std::size_t k = 0; k < n; ++k) contexts[k] = &probe[k].context;
+    std::vector<double> rows(n * fx.model->num_decisions());
+    for (auto _ : state) {
+        fx.model->predict_rows(contexts.data(), n, rows.data());
+        benchmark::DoNotOptimize(rows.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 BENCHMARK(BM_DirectMethod)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Ips)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_DoublyRobust)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SwitchDr)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_FitTabularModel)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_TabularPredictRow)
+    ->ArgNames({"n", "hit"})
+    ->ArgsProduct({{10000, 100000}, {0, 1}});
 
 } // namespace
 

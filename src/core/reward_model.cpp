@@ -1,22 +1,32 @@
 #include "core/reward_model.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dre::core {
 namespace {
 
-// Mix the decision into an already-computed context fingerprint. Split out
-// of cell_key so predict_row can fingerprint the context once per row.
-std::uint64_t mix_decision(std::uint64_t h, Decision d) noexcept {
-    h ^= 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(d) +
-         (h << 6) + (h >> 2);
-    return h;
+// Running mean after folding in x as the count-th value. The sequence of
+// folds fixes a mean's bits.
+double running_mean(double mean, std::size_t count, double x) noexcept {
+    return mean + (x - mean) / static_cast<double>(count);
 }
 
-std::uint64_t cell_key(const ClientContext& context, Decision d) noexcept {
-    return mix_decision(context_fingerprint(context), d);
+struct MeanCount {
+    double mean = 0.0;
+    std::size_t count = 0;
+    void add(double x) { mean = running_mean(mean, ++count, x); }
+};
+
+// Fibonacci hashing: the top bits of fingerprint × 2^64/φ pick the home
+// slot, so table sizes can stay powers of two.
+constexpr std::uint64_t kSlotHashMul = 0x9e3779b97f4a7c15ull;
+
+std::size_t home_slot(std::uint64_t fingerprint, unsigned shift) noexcept {
+    return static_cast<std::size_t>((fingerprint * kSlotHashMul) >> shift);
 }
 
 void check_decision(Decision d, std::size_t n, const char* who) {
@@ -45,49 +55,130 @@ double OracleRewardModel::predict(const ClientContext& context, Decision d) cons
 }
 
 TabularRewardModel::TabularRewardModel(std::size_t num_decisions)
-    : num_decisions_(num_decisions), decision_means_(num_decisions) {
+    : num_decisions_(num_decisions) {
     if (num_decisions_ == 0)
         throw std::invalid_argument("TabularRewardModel: empty decision space");
 }
 
 void TabularRewardModel::fit(const Trace& trace) {
     validate_trace(trace);
-    cell_means_.clear();
-    decision_means_.assign(num_decisions_, {});
-    global_mean_ = {};
-    for (const auto& t : trace) {
+    if (trace.size() > std::numeric_limits<std::uint32_t>::max())
+        throw std::length_error("TabularRewardModel::fit: trace too large");
+    for (const auto& t : trace)
         check_decision(t.decision, num_decisions_, "TabularRewardModel::fit");
-        cell_means_[cell_key(t.context, t.decision)].add(t.reward);
-        decision_means_[static_cast<std::size_t>(t.decision)].add(t.reward);
-        global_mean_.add(t.reward);
+
+    // 1. The distinct (fingerprint, decision) pairs, sorted: each context's
+    //    cells form one contiguous, decision-ordered run.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
+    keys.reserve(trace.size());
+    for (const auto& t : trace)
+        keys.emplace_back(context_fingerprint(t.context),
+                          static_cast<std::uint32_t>(t.decision));
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+    // 2. One slot per run, in a table at most 3/4 full — sized once, so the
+    //    fit leaves no outgrown tables behind.
+    std::size_t num_contexts = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        num_contexts += i == 0 || keys[i].first != keys[i - 1].first;
+    unsigned shift = 60; // 16 slots
+    while (4 * num_contexts > 3 * (std::size_t{1} << (64 - shift))) --shift;
+    std::vector<Slot> slots(std::size_t{1} << (64 - shift));
+    std::vector<Cell> cells(keys.size());
+    Slot* run = nullptr;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (i == 0 || keys[i].first != keys[i - 1].first) {
+            run = &slots[probe(slots, shift, keys[i].first)];
+            *run = {keys[i].first, static_cast<std::uint32_t>(i), 0};
+        }
+        ++run->count;
+        cells[i].decision = keys[i].second;
     }
+    keys = {};
+
+    // 3. Fold every reward into its cell in trace order: each cell mean sees
+    //    the MeanCount::add sequence of its tuples, so its bits are fixed.
+    std::vector<std::uint32_t> counts(cells.size());
+    std::vector<MeanCount> decision_means(num_decisions_);
+    MeanCount global_mean;
+    for (const auto& t : trace) {
+        const Slot& slot =
+            slots[probe(slots, shift, context_fingerprint(t.context))];
+        std::uint32_t c = slot.begin;
+        while (cells[c].decision != static_cast<std::uint32_t>(t.decision)) ++c;
+        cells[c].mean = running_mean(cells[c].mean, ++counts[c], t.reward);
+        decision_means[static_cast<std::size_t>(t.decision)].add(t.reward);
+        global_mean.add(t.reward);
+    }
+
+    fallback_.resize(num_decisions_);
+    for (std::size_t d = 0; d < num_decisions_; ++d)
+        fallback_[d] = decision_means[d].count > 0 ? decision_means[d].mean
+                                                   : global_mean.mean;
+    slots_ = std::move(slots);
+    shift_ = shift;
+    cells_ = std::move(cells);
     fitted_ = true;
+}
+
+std::size_t TabularRewardModel::probe(const std::vector<Slot>& table,
+                                      unsigned shift,
+                                      std::uint64_t fingerprint) noexcept {
+    const std::size_t mask = table.size() - 1;
+    std::size_t i = home_slot(fingerprint, shift);
+    while (table[i].count != 0 && table[i].fingerprint != fingerprint)
+        i = (i + 1) & mask;
+    return i;
+}
+
+const TabularRewardModel::Slot* TabularRewardModel::find(
+    std::uint64_t fingerprint) const noexcept {
+    const Slot& slot = slots_[probe(slots_, shift_, fingerprint)];
+    return slot.count != 0 ? &slot : nullptr;
+}
+
+void TabularRewardModel::fill_row(const Slot* slot, double* out) const noexcept {
+    std::copy(fallback_.begin(), fallback_.end(), out);
+    if (slot == nullptr) return;
+    const Cell* cell = cells_.data() + slot->begin;
+    for (const Cell* end = cell + slot->count; cell != end; ++cell)
+        out[cell->decision] = cell->mean;
 }
 
 double TabularRewardModel::predict(const ClientContext& context, Decision d) const {
     if (!fitted_) throw std::logic_error("TabularRewardModel::predict before fit");
     check_decision(d, num_decisions_, "TabularRewardModel::predict");
-    const auto it = cell_means_.find(cell_key(context, d));
-    if (it != cell_means_.end()) return it->second.mean;
-    const auto& per_decision = decision_means_[static_cast<std::size_t>(d)];
-    if (per_decision.count > 0) return per_decision.mean;
-    return global_mean_.mean;
+    if (const Slot* slot = find(context_fingerprint(context))) {
+        const Cell* cell = cells_.data() + slot->begin;
+        for (const Cell* end = cell + slot->count; cell != end; ++cell)
+            if (cell->decision == static_cast<std::uint32_t>(d))
+                return cell->mean;
+    }
+    return fallback_[static_cast<std::size_t>(d)];
 }
 
 void TabularRewardModel::predict_row(const ClientContext& context,
                                      double* out) const {
     if (!fitted_)
         throw std::logic_error("TabularRewardModel::predict_row before fit");
-    const std::uint64_t fp = context_fingerprint(context);
-    for (std::size_t d = 0; d < num_decisions_; ++d) {
-        const auto it =
-            cell_means_.find(mix_decision(fp, static_cast<Decision>(d)));
-        if (it != cell_means_.end()) {
-            out[d] = it->second.mean;
-            continue;
+    fill_row(find(context_fingerprint(context)), out);
+}
+
+void TabularRewardModel::predict_rows(const ClientContext* const* contexts,
+                                      std::size_t count, double* out) const {
+    if (!fitted_)
+        throw std::logic_error("TabularRewardModel::predict_rows before fit");
+    constexpr std::size_t kBatch = 16;
+    std::uint64_t fingerprints[kBatch];
+    for (std::size_t base = 0; base < count; base += kBatch) {
+        const std::size_t batch = std::min(kBatch, count - base);
+        for (std::size_t i = 0; i < batch; ++i) {
+            fingerprints[i] = context_fingerprint(*contexts[base + i]);
+            __builtin_prefetch(&slots_[home_slot(fingerprints[i], shift_)]);
         }
-        const auto& per_decision = decision_means_[d];
-        out[d] = per_decision.count > 0 ? per_decision.mean : global_mean_.mean;
+        for (std::size_t i = 0; i < batch; ++i)
+            fill_row(find(fingerprints[i]), out + (base + i) * num_decisions_);
     }
 }
 

@@ -7,9 +7,9 @@
 #ifndef DRE_CORE_REWARD_MODEL_H
 #define DRE_CORE_REWARD_MODEL_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/knn.h"
@@ -97,6 +97,17 @@ private:
 // cell, falling back to the per-decision mean, then the global mean.
 // Zero-bias where data exists; useless off the observed support — exactly
 // the failure mode Fig. 4/Fig. 5 illustrate.
+//
+// Layout: a flat open-addressing table keyed by context_fingerprint alone
+// (power-of-two size, multiplicative hash, linear probing, load <= 3/4).
+// Each slot points at a packed run of that context's observed (decision,
+// mean) cells, in decision order. A q̂ row is therefore one probe: copy the
+// fallback row, then overwrite the observed cells — a context never seen
+// in the fit (the common case with a continuous feature) costs a single
+// probe that lands on an empty slot. Two contexts share cells only when
+// their fingerprints are equal; the key does not mix in the decision, so
+// (context, decision) pairs of different contexts never share a cell.
+// Each cell mean is folded in trace order, one add per logged tuple.
 class TabularRewardModel final : public RewardModel {
 public:
     explicit TabularRewardModel(std::size_t num_decisions);
@@ -104,27 +115,41 @@ public:
     void fit(const Trace& trace);
 
     double predict(const ClientContext& context, Decision d) const override;
-    // Fingerprints the context once instead of once per decision.
     void predict_row(const ClientContext& context, double* out) const override;
+    // Fingerprints a batch of contexts and prefetches their slots before
+    // probing any of them, so the table misses overlap.
+    void predict_rows(const ClientContext* const* contexts, std::size_t count,
+                      double* out) const override;
     std::size_t num_decisions() const noexcept override { return num_decisions_; }
 
     // Number of populated (context, decision) cells.
-    std::size_t cells() const noexcept { return cell_means_.size(); }
+    std::size_t cells() const noexcept { return cells_.size(); }
 
 private:
-    struct MeanCount {
+    struct Slot {
+        std::uint64_t fingerprint = 0;
+        std::uint32_t begin = 0; // first cell in cells_
+        std::uint32_t count = 0; // cells in the run; 0 marks an empty slot
+    };
+    struct Cell {
         double mean = 0.0;
-        std::size_t count = 0;
-        void add(double x) {
-            ++count;
-            mean += (x - mean) / static_cast<double>(count);
-        }
+        std::uint32_t decision = 0;
     };
 
+    // Index of the slot holding `fingerprint` in `table`, else of the empty
+    // slot that ends its probe sequence.
+    static std::size_t probe(const std::vector<Slot>& table, unsigned shift,
+                             std::uint64_t fingerprint) noexcept;
+    // The slot holding `fingerprint`, or nullptr when the fit never saw it.
+    const Slot* find(std::uint64_t fingerprint) const noexcept;
+    // Fallback row, then the slot's observed cells over it.
+    void fill_row(const Slot* slot, double* out) const noexcept;
+
     std::size_t num_decisions_;
-    std::unordered_map<std::uint64_t, MeanCount> cell_means_; // key mixes d
-    std::vector<MeanCount> decision_means_;
-    MeanCount global_mean_;
+    std::vector<Slot> slots_;      // size 2^(64 - shift_)
+    unsigned shift_ = 64;
+    std::vector<Cell> cells_;      // per-context runs, decision-ordered
+    std::vector<double> fallback_; // per-decision mean, else global mean
     bool fitted_ = false;
 };
 

@@ -14,7 +14,6 @@
 
 #include "core/engine.h"
 #include "core/parallel.h"
-#include "core/qhat.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "stats/bootstrap.h"
@@ -431,6 +430,7 @@ const char* stream_fault_reason(fault::FaultKind kind) noexcept {
         case fault::FaultKind::kTransient: return "stream-fault-transient";
         case fault::FaultKind::kPermanent: return "stream-fault-permanent";
         case fault::FaultKind::kCorruption: return "stream-fault-corruption";
+        case fault::FaultKind::kSlow: break; // advisory: never thrown
     }
     return "stream-fault";
 }
@@ -529,44 +529,48 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                 }
             }
 
-            std::vector<LoggedTuple> buffer;
             std::vector<LoggedTuple> kept;
-            if (!chunk_dead && !tolerant) {
-                source.read(begin, len, buffer);
-                if (buffer.size() != len)
-                    throw std::runtime_error(
-                        "evaluate_streaming: source returned a short chunk");
-                kept = std::move(buffer);
-            } else if (!chunk_dead) {
-                std::vector<TupleReadFailure> failures;
-                source.read_tolerant(begin, len, buffer, failures);
-                for (const TupleReadFailure& f : failures)
-                    r.quarantine.add(f.begin, f.count, f.reason, f.shard);
-                // Walk the chunk's global index range, skipping the failed
-                // sub-ranges, to pair each surviving tuple with its global
-                // index for validation.
-                kept.reserve(buffer.size());
-                std::size_t next_tuple = 0;
-                std::size_t next_failure = 0;
-                for (std::uint64_t g = begin; g < begin + len; ++g) {
-                    if (next_failure < failures.size() &&
-                        g >= failures[next_failure].begin) {
-                        g = failures[next_failure].begin +
-                            failures[next_failure].count - 1;
-                        ++next_failure;
-                        continue;
-                    }
-                    if (next_tuple >= buffer.size())
+            if (!chunk_dead) {
+                DRE_SPAN("evaluator.stream_read");
+                std::vector<LoggedTuple> buffer;
+                if (!tolerant) {
+                    source.read(begin, len, buffer);
+                    if (buffer.size() != len)
                         throw std::runtime_error(
-                            "evaluate_streaming: tolerant read returned "
-                            "fewer tuples than its failure ranges imply");
-                    LoggedTuple& t = buffer[next_tuple++];
-                    const TupleDefect defect =
-                        classify_tuple(t, decision_space);
-                    if (defect == TupleDefect::kNone)
-                        kept.push_back(std::move(t));
-                    else
-                        r.quarantine.add(g, 1, reason_code(defect), -1);
+                            "evaluate_streaming: source returned a short "
+                            "chunk");
+                    kept = std::move(buffer);
+                } else {
+                    std::vector<TupleReadFailure> failures;
+                    source.read_tolerant(begin, len, buffer, failures);
+                    for (const TupleReadFailure& f : failures)
+                        r.quarantine.add(f.begin, f.count, f.reason, f.shard);
+                    // Walk the chunk's global index range, skipping the
+                    // failed sub-ranges, to pair each surviving tuple with
+                    // its global index for validation.
+                    kept.reserve(buffer.size());
+                    std::size_t next_tuple = 0;
+                    std::size_t next_failure = 0;
+                    for (std::uint64_t g = begin; g < begin + len; ++g) {
+                        if (next_failure < failures.size() &&
+                            g >= failures[next_failure].begin) {
+                            g = failures[next_failure].begin +
+                                failures[next_failure].count - 1;
+                            ++next_failure;
+                            continue;
+                        }
+                        if (next_tuple >= buffer.size())
+                            throw std::runtime_error(
+                                "evaluate_streaming: tolerant read returned "
+                                "fewer tuples than its failure ranges imply");
+                        LoggedTuple& t = buffer[next_tuple++];
+                        const TupleDefect defect =
+                            classify_tuple(t, decision_space);
+                        if (defect == TupleDefect::kNone)
+                            kept.push_back(std::move(t));
+                        else
+                            r.quarantine.add(g, 1, reason_code(defect), -1);
+                    }
                 }
             }
 
@@ -581,14 +585,25 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                             "estimator: trace uses decisions outside "
                             "policy space");
                 }
-                // Chunk-local q̂ block. build() inlines serially inside a
-                // pool task and each slot is a pure function of (model,
-                // tuple, d), so the block equals the matching rows of the
-                // full matrix.
-                const PredictionMatrix qhat =
-                    PredictionMatrix::build(model, chunk);
-                r.partial = evaluate_chunk(chunk.tuples(), qhat.row(0), policy,
-                                           options.estimator_options, boot, c);
+                // The chunk's q̂ rows, filled in place into this thread's
+                // reused buffers. Each row is a pure function of (model,
+                // context), so the rows equal the matching rows of the
+                // full PredictionMatrix.
+                thread_local std::vector<const ClientContext*> contexts;
+                thread_local std::vector<double> qhat_rows;
+                {
+                    DRE_SPAN("evaluator.stream_qhat");
+                    contexts.resize(chunk.size());
+                    for (std::size_t k = 0; k < chunk.size(); ++k)
+                        contexts[k] = &chunk[k].context;
+                    qhat_rows.resize(chunk.size() * decision_space);
+                    model.predict_rows(contexts.data(), contexts.size(),
+                                       qhat_rows.data());
+                }
+                DRE_SPAN("evaluator.stream_kernel");
+                r.partial = evaluate_chunk(chunk.tuples(), qhat_rows.data(),
+                                           policy, options.estimator_options,
+                                           boot, c);
             }
             wave_results[i] = std::move(r);
 #if DRE_OBS_ENABLED

@@ -4,10 +4,11 @@
 // `evaluate_streaming` runs the full Evaluator estimator suite (DM, IPS,
 // SNIPS, DR, SWITCH-DR, overlap diagnostics, DR bootstrap CI) over a
 // TupleSource without ever materializing the trace: tuples are pulled one
-// reduction chunk (par::kReduceChunk) at a time, each chunk builds its own
-// PredictionMatrix block and runs the engine's chunk kernel over it
-// (core/engine.h), and the chunk partials are folded *in chunk order*
-// into the running totals.
+// reduction chunk (par::kReduceChunk) at a time, each chunk's q̂ rows are
+// filled in place (RewardModel::predict_rows into a reused per-thread
+// buffer) and the engine's chunk kernel runs over them (core/engine.h),
+// and the chunk partials are folded *in chunk order* into the running
+// totals.
 //
 // Determinism contract (DESIGN.md §9): the chunk geometry is the global
 // tuple index — independent of thread count, row-group size, and shard

@@ -26,7 +26,8 @@ namespace dre::serve {
 
 namespace {
 
-[[noreturn]] void fail_errno(const char* what) {
+// Unused when DRE_OBS_ENABLED=OFF compiles the listener out of start().
+[[noreturn, maybe_unused]] void fail_errno(const char* what) {
     throw std::runtime_error(std::string("serve metrics: ") + what + ": " +
                              std::strerror(errno));
 }

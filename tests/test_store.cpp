@@ -120,7 +120,10 @@ void check_round_trip(const Trace& trace, const TempDir& tmp,
     // Small row groups force multiple groups per file.
     write_store_file(trace, path, StoreWriter::Options{256});
     for (const IoMode mode : {IoMode::kMmap, IoMode::kPread}) {
-        const StoreReader reader(path, StoreReader::Options{mode, 2});
+        StoreReader::Options options;
+        options.io_mode = mode;
+        options.pread_cache_groups = 2;
+        const StoreReader reader(path, options);
         EXPECT_EQ(reader.num_tuples(), trace.size());
         EXPECT_EQ(reader.num_decisions(), trace.num_decisions());
         expect_bitwise_equal(reader.read_all(), trace);
@@ -500,7 +503,10 @@ TEST_F(StoreCorruptionTest, FlippedChunkByteNamesTheGroup) {
         SCOPED_TRACE(static_cast<int>(mode));
         // Opening succeeds (payload CRCs are lazy); touching group 1 fails
         // and the error names it. Other groups stay readable.
-        const StoreReader reader(flipped, StoreReader::Options{mode, 2});
+        StoreReader::Options options;
+        options.io_mode = mode;
+        options.pread_cache_groups = 2;
+        const StoreReader reader(flipped, options);
         std::vector<LoggedTuple> rows;
         reader.read_rows(0, 128, rows); // group 0 is intact
         EXPECT_EQ(rows.size(), 128u);

@@ -124,8 +124,10 @@ TEST(StreamingEvaluation, MatchesInMemoryAcrossThreadsShardsAndBackends) {
                         : store::find_shards((dir / "multi-").string());
         for (const store::IoMode mode :
              {store::IoMode::kMmap, store::IoMode::kPread}) {
-            const store::ShardedStore sharded(
-                paths, store::StoreReader::Options{mode, 2});
+            store::StoreReader::Options options;
+            options.io_mode = mode;
+            options.pread_cache_groups = 2;
+            const store::ShardedStore sharded(paths, options);
             const store::StoreTupleSource source(sharded);
             for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
                 par::set_thread_count(threads);

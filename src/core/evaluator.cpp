@@ -10,6 +10,14 @@
 
 namespace dre::core {
 
+void widen_ci_by_coverage(PolicyEvaluation& evaluation,
+                          double coverage) noexcept {
+    if (!evaluation.dr_ci || !(coverage > 0.0 && coverage < 1.0)) return;
+    stats::ConfidenceInterval& ci = *evaluation.dr_ci;
+    ci.lower = ci.point - (ci.point - ci.lower) / coverage;
+    ci.upper = ci.point + (ci.upper - ci.point) / coverage;
+}
+
 Evaluator::Evaluator(Trace trace, EvaluationConfig config, stats::Rng rng)
     : config_(config), rng_(rng) {
     validate_trace(trace);

@@ -50,6 +50,14 @@ struct PolicyEvaluation {
     double value() const noexcept { return dr.value; }
 };
 
+// Coverage-qualified DR CI, shared by streaming's kDegrade mode and the
+// serve brownout: divides each half-width of `evaluation.dr_ci` by
+// `coverage` (evaluated / total tuples). Deterministic, monotone in the
+// skipped mass, and the identity unless a CI is present and 0 < coverage
+// < 1.
+void widen_ci_by_coverage(PolicyEvaluation& evaluation,
+                          double coverage) noexcept;
+
 class Evaluator {
 public:
     Evaluator(Trace trace, EvaluationConfig config, stats::Rng rng);

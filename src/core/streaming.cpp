@@ -1,17 +1,13 @@
 #include "core/streaming.h"
 
 #include <algorithm>
-#include <bit>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include <unistd.h>
-
+#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/parallel.h"
 #include "fault/fault.h"
@@ -146,66 +142,10 @@ std::string QuarantineReport::to_text() const {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Checkpoint file format (host byte order; same-machine resume):
-//   magic "DRECKPT1" | u64 config_hash | payload | u64 fnv1a(all preceding)
-// The payload is the complete reduction state at a wave boundary. Doubles
-// are stored as bit patterns, so a resumed run restarts from *exactly* the
-// interrupted run's floating-point state.
-// ---------------------------------------------------------------------------
-
-constexpr char kCheckpointMagic[8] = {'D', 'R', 'E', 'C', 'K', 'P', 'T', '1'};
-
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t hash = 1469598103934665603ull) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-[[noreturn]] void ckpt_fail(const std::string& what) {
-    throw std::runtime_error("checkpoint: " + what);
-}
-
-struct Serializer {
-    std::string buf;
-
-    void u64(std::uint64_t v) { buf.append(reinterpret_cast<const char*>(&v), 8); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(const std::string& s) {
-        u64(s.size());
-        buf.append(s);
-    }
-};
-
-struct Parser {
-    const std::string& buf;
-    std::size_t pos = 0;
-
-    void raw(void* out, std::size_t len) {
-        if (pos + len > buf.size()) ckpt_fail("truncated file");
-        std::memcpy(out, buf.data() + pos, len);
-        pos += len;
-    }
-    std::uint64_t u64() {
-        std::uint64_t v;
-        raw(&v, 8);
-        return v;
-    }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    double f64() { return std::bit_cast<double>(u64()); }
-    std::string str() {
-        const std::uint64_t len = u64();
-        if (len > buf.size() - pos) ckpt_fail("truncated string");
-        std::string s(buf.data() + pos, static_cast<std::size_t>(len));
-        pos += static_cast<std::size_t>(len);
-        return s;
-    }
-};
+// The streaming checkpoint (core/checkpoint.h framing): the payload is the
+// complete reduction state at a wave boundary.
+constexpr CheckpointFormat kCheckpointFormat{"DRECKPT1", "checkpoint",
+                                             "options, data size, or seed"};
 
 // Everything evaluate_streaming folds across chunks, checkpointable as a
 // unit. The bootstrap replicate sums travel alongside (they live in the
@@ -216,19 +156,19 @@ struct StreamState {
     QuarantineReport quarantine;
 };
 
-void put_mean_state(Serializer& s, const par::MeanState& m) {
+void put_mean_state(CheckpointWriter& s, const par::MeanState& m) {
     s.u64(m.n);
     s.f64(m.mean);
 }
 
-par::MeanState get_mean_state(Parser& p) {
+par::MeanState get_mean_state(CheckpointReader& p) {
     par::MeanState m;
     m.n = static_cast<std::size_t>(p.u64());
     m.mean = p.f64();
     return m;
 }
 
-void put_report(Serializer& s, const QuarantineReport& q) {
+void put_report(CheckpointWriter& s, const QuarantineReport& q) {
     s.u64(q.tuples_total);
     s.u64(q.tuples_evaluated);
     s.u64(q.tuples_quarantined);
@@ -253,7 +193,7 @@ void put_report(Serializer& s, const QuarantineReport& q) {
     }
 }
 
-QuarantineReport get_report(Parser& p) {
+QuarantineReport get_report(CheckpointReader& p) {
     QuarantineReport q;
     q.tuples_total = p.u64();
     q.tuples_evaluated = p.u64();
@@ -270,7 +210,7 @@ QuarantineReport get_report(Parser& p) {
     }
     const std::uint64_t num_records = p.u64();
     if (num_records > QuarantineReport::kMaxRecords)
-        ckpt_fail("record count exceeds cap");
+        p.fail("record count exceeds cap");
     q.records.reserve(static_cast<std::size_t>(num_records));
     for (std::uint64_t i = 0; i < num_records; ++i) {
         QuarantineRecord rec;
@@ -289,7 +229,7 @@ QuarantineReport get_report(Parser& p) {
 std::uint64_t config_hash(std::uint64_t n, const StreamingOptions& options,
                           const std::optional<stats::ChunkedMeanBootstrap>&
                               bootstrap) {
-    Serializer s;
+    CheckpointWriter s;
     s.u64(n);
     s.u64(par::kReduceChunk);
     s.i64(options.ci_replicates);
@@ -301,16 +241,14 @@ std::uint64_t config_hash(std::uint64_t n, const StreamingOptions& options,
     if (bootstrap)
         for (const std::uint64_t word : bootstrap->base_rng().state())
             s.u64(word);
-    return fnv1a(s.buf.data(), s.buf.size());
+    return s.digest();
 }
 
 void write_checkpoint(const std::string& path, std::uint64_t hash,
                       const StreamState& state,
                       const std::optional<stats::ChunkedMeanBootstrap>&
                           bootstrap) {
-    Serializer s;
-    s.buf.append(kCheckpointMagic, sizeof kCheckpointMagic);
-    s.u64(hash);
+    CheckpointWriter s = begin_checkpoint(kCheckpointFormat, hash);
     s.u64(state.next_chunk);
     const RunState& run = state.run;
     for (const par::MeanState* m : {&run.dm, &run.ips, &run.dr, &run.switch_dr})
@@ -334,21 +272,7 @@ void write_checkpoint(const std::string& path, std::uint64_t hash,
         for (const double sum : bootstrap->replicate_sums()) s.f64(sum);
     }
     put_report(s, state.quarantine);
-    s.u64(fnv1a(s.buf.data(), s.buf.size()));
-
-    const std::string tmp = path + ".tmp";
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr)
-        ckpt_fail("cannot create " + tmp + ": " + std::strerror(errno));
-    const bool written =
-        std::fwrite(s.buf.data(), 1, s.buf.size(), file) == s.buf.size() &&
-        std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
-    if (std::fclose(file) != 0 || !written) {
-        std::remove(tmp.c_str());
-        ckpt_fail("write failed for " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        ckpt_fail("rename failed for " + path + ": " + std::strerror(errno));
+    commit_checkpoint(kCheckpointFormat, s, path);
     DRE_COUNTER_INC("stream.checkpoints_written");
 }
 
@@ -358,30 +282,10 @@ void write_checkpoint(const std::string& path, std::uint64_t hash,
 bool load_checkpoint(const std::string& path, std::uint64_t hash,
                      StreamState& state,
                      std::optional<stats::ChunkedMeanBootstrap>& bootstrap) {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) return false;
-    std::string buf;
-    char block[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(block, 1, sizeof block, file)) > 0)
-        buf.append(block, got);
-    const bool read_error = std::ferror(file) != 0;
-    std::fclose(file);
-    if (read_error) ckpt_fail("read failed for " + path);
-
-    if (buf.size() < sizeof kCheckpointMagic + 16) ckpt_fail("truncated file");
-    if (std::memcmp(buf.data(), kCheckpointMagic, sizeof kCheckpointMagic) != 0)
-        ckpt_fail(path + " is not a checkpoint file");
-    std::uint64_t stored_sum;
-    std::memcpy(&stored_sum, buf.data() + buf.size() - 8, 8);
-    if (fnv1a(buf.data(), buf.size() - 8) != stored_sum)
-        ckpt_fail(path + " is corrupt (checksum mismatch)");
-
-    Parser p{buf, sizeof kCheckpointMagic};
-    if (p.u64() != hash)
-        ckpt_fail(path +
-                  " was written by a run with different options, data size, "
-                  "or seed — refusing to resume");
+    std::optional<CheckpointReader> reader =
+        load_checkpoint_file(kCheckpointFormat, path, hash);
+    if (!reader) return false;
+    CheckpointReader& p = *reader;
     state.next_chunk = p.u64();
     RunState& run = state.run;
     for (par::MeanState* m : {&run.dm, &run.ips, &run.dr, &run.switch_dr})
@@ -400,14 +304,14 @@ bool load_checkpoint(const std::string& path, std::uint64_t hash,
     run.weight_acc = stats::Accumulator::from_state(acc);
     const bool has_bootstrap = p.u64() != 0;
     if (has_bootstrap != bootstrap.has_value())
-        ckpt_fail("bootstrap presence mismatch"); // config hash covers this
+        p.fail("bootstrap presence mismatch"); // config hash covers this
     if (bootstrap) {
         if (p.i64() != bootstrap->replicates())
-            ckpt_fail("replicate count mismatch");
+            p.fail("replicate count mismatch");
         std::array<std::uint64_t, 4> words;
         for (std::uint64_t& word : words) word = p.u64();
         if (words != bootstrap->base_rng().state())
-            ckpt_fail("bootstrap generator state mismatch");
+            p.fail("bootstrap generator state mismatch");
         std::vector<double> sums(
             static_cast<std::size_t>(bootstrap->replicates()));
         for (double& sum : sums) sum = p.f64();
@@ -529,62 +433,54 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                 }
             }
 
-            std::vector<LoggedTuple> kept;
+            std::vector<LoggedTuple> tuples;
             if (!chunk_dead) {
                 DRE_SPAN("evaluator.stream_read");
-                std::vector<LoggedTuple> buffer;
-                if (!tolerant) {
-                    source.read(begin, len, buffer);
-                    if (buffer.size() != len)
-                        throw std::runtime_error(
-                            "evaluate_streaming: source returned a short "
-                            "chunk");
-                    kept = std::move(buffer);
-                } else {
-                    std::vector<TupleReadFailure> failures;
-                    source.read_tolerant(begin, len, buffer, failures);
-                    for (const TupleReadFailure& f : failures)
-                        r.quarantine.add(f.begin, f.count, f.reason, f.shard);
-                    // Walk the chunk's global index range, skipping the
-                    // failed sub-ranges, to pair each surviving tuple with
-                    // its global index for validation.
-                    kept.reserve(buffer.size());
-                    std::size_t next_tuple = 0;
-                    std::size_t next_failure = 0;
-                    for (std::uint64_t g = begin; g < begin + len; ++g) {
-                        if (next_failure < failures.size() &&
-                            g >= failures[next_failure].begin) {
-                            g = failures[next_failure].begin +
-                                failures[next_failure].count - 1;
-                            ++next_failure;
-                            continue;
-                        }
-                        if (next_tuple >= buffer.size())
-                            throw std::runtime_error(
-                                "evaluate_streaming: tolerant read returned "
-                                "fewer tuples than its failure ranges imply");
-                        LoggedTuple& t = buffer[next_tuple++];
-                        const TupleDefect defect =
-                            classify_tuple(t, decision_space);
-                        if (defect == TupleDefect::kNone)
-                            kept.push_back(std::move(t));
-                        else
-                            r.quarantine.add(g, 1, reason_code(defect), -1);
+                std::vector<TupleReadFailure> failures;
+                if (tolerant)
+                    source.read_tolerant(begin, len, tuples, failures);
+                else
+                    source.read(begin, len, tuples);
+                std::uint64_t unread = 0;
+                for (const TupleReadFailure& f : failures) {
+                    r.quarantine.add(f.begin, f.count, f.reason, f.shard);
+                    unread += f.count;
+                }
+                if (tuples.size() + unread != len)
+                    throw std::runtime_error(
+                        "evaluate_streaming: source returned " +
+                        std::to_string(tuples.size()) + " tuples and " +
+                        std::to_string(unread) + " unreadable for a chunk of " +
+                        std::to_string(len));
+                // Pair each tuple with its global index (skipping the
+                // unreadable ranges), classify it once, and compact the
+                // sound ones in place: a strict run throws at the first
+                // defect, the tolerant modes quarantine it.
+                std::size_t kept = 0;
+                std::size_t next_failure = 0;
+                std::uint64_t g = begin;
+                for (std::size_t k = 0; k < tuples.size(); ++k, ++g) {
+                    while (next_failure < failures.size() &&
+                           g >= failures[next_failure].begin) {
+                        g = failures[next_failure].begin +
+                            failures[next_failure].count;
+                        ++next_failure;
+                    }
+                    const TupleDefect defect =
+                        classify_tuple(tuples[k], decision_space);
+                    if (defect == TupleDefect::kNone) {
+                        if (kept != k) tuples[kept] = std::move(tuples[k]);
+                        ++kept;
+                    } else if (!tolerant) {
+                        throw_tuple_defect(g, defect);
+                    } else {
+                        r.quarantine.add(g, 1, reason_code(defect), -1);
                     }
                 }
+                tuples.resize(kept);
             }
 
-            if (!kept.empty()) {
-                const Trace chunk(std::move(kept));
-                // A strict run fails on the first unsound tuple; the
-                // tolerant modes quarantined them above.
-                if (!tolerant) {
-                    validate_trace(chunk);
-                    if (chunk.num_decisions() > decision_space)
-                        throw std::invalid_argument(
-                            "estimator: trace uses decisions outside "
-                            "policy space");
-                }
+            if (!tuples.empty()) {
                 // The chunk's q̂ rows, filled in place into this thread's
                 // reused buffers. Each row is a pure function of (model,
                 // context), so the rows equal the matching rows of the
@@ -593,17 +489,16 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
                 thread_local std::vector<double> qhat_rows;
                 {
                     DRE_SPAN("evaluator.stream_qhat");
-                    contexts.resize(chunk.size());
-                    for (std::size_t k = 0; k < chunk.size(); ++k)
-                        contexts[k] = &chunk[k].context;
-                    qhat_rows.resize(chunk.size() * decision_space);
+                    contexts.resize(tuples.size());
+                    for (std::size_t k = 0; k < tuples.size(); ++k)
+                        contexts[k] = &tuples[k].context;
+                    qhat_rows.resize(tuples.size() * decision_space);
                     model.predict_rows(contexts.data(), contexts.size(),
                                        qhat_rows.data());
                 }
                 DRE_SPAN("evaluator.stream_kernel");
-                r.partial = evaluate_chunk(chunk.tuples(), qhat_rows.data(),
-                                           policy, options.estimator_options,
-                                           boot, c);
+                r.partial = evaluate_chunk(tuples, qhat_rows.data(), policy,
+                                           options.estimator_options, boot, c);
             }
             wave_results[i] = std::move(r);
 #if DRE_OBS_ENABLED
@@ -650,17 +545,8 @@ StreamingResult evaluate_streaming_guarded(const TupleSource& source,
     StreamingResult result;
     result.quarantine = std::move(state.quarantine);
     result.evaluation = finalize(state.run, boot);
-    if (bootstrap && options.on_error == FailureMode::kDegrade) {
-        // Coverage-qualified CI: divide each half-width by the coverage
-        // fraction. Deterministic, monotone in the quarantined mass, and
-        // the identity transform for a clean run.
-        const double coverage = result.quarantine.coverage();
-        if (coverage < 1.0 && coverage > 0.0) {
-            stats::ConfidenceInterval& ci = *result.evaluation.dr_ci;
-            ci.lower = ci.point - (ci.point - ci.lower) / coverage;
-            ci.upper = ci.point + (ci.upper - ci.point) / coverage;
-        }
-    }
+    if (options.on_error == FailureMode::kDegrade)
+        widen_ci_by_coverage(result.evaluation, result.quarantine.coverage());
     return result;
 }
 

@@ -21,11 +21,15 @@
 // Failure handling (DESIGN.md §10): `evaluate_streaming_guarded` adds
 // three failure modes around the same engine.
 //
-//   kStrict      today's behavior: fail-stop. The first I/O error,
-//                corruption, or injected fault (after the source's retry
-//                policy runs) aborts the run with an exception, and a
-//                structurally invalid tuple aborts it too (each chunk is
-//                validated before it reaches the kernel).
+//   kStrict      fail-stop. The first I/O error, corruption, or injected
+//                fault (after the source's retry policy runs) aborts the
+//                run with an exception. Strict intake is the tolerant walk
+//                that throws: each tuple is paired with its global index
+//                and classified once (trace/validate.h), and the first
+//                defect throws std::invalid_argument("trace tuple <global
+//                index>: <reason code>") where the tolerant modes would
+//                quarantine it. A source whose tuple count disagrees with
+//                the chunk is a std::runtime_error in every mode.
 //   kQuarantine  damaged row groups (via TupleSource::read_tolerant) and
 //                structurally invalid tuples (trace/validate.h) are
 //                *skipped* and recorded in a QuarantineReport. Estimator
@@ -36,8 +40,9 @@
 //                silently deflated by the missing rows.
 //   kDegrade     kQuarantine, plus the result is coverage-qualified: the
 //                DR bootstrap CI half-widths are divided by the coverage
-//                fraction (evaluated/total), a deterministic widening that
-//                makes a low-coverage run advertise its own uncertainty.
+//                fraction (evaluated/total; core::widen_ci_by_coverage), a
+//                deterministic widening that makes a low-coverage run
+//                advertise its own uncertainty.
 //
 // The quarantine machinery is itself deterministic: faults fire by logical
 // index (dre::fault), chunk-level records merge in chunk order, and the
@@ -68,62 +73,11 @@
 #include "core/evaluator.h"
 #include "core/policy.h"
 #include "core/reward_model.h"
+#include "core/tuple_source.h"
 #include "stats/rng.h"
 #include "trace/trace.h"
 
 namespace dre::core {
-
-// One contiguous run of tuples a tolerant read could not produce.
-// `reason` is a stable reason-code literal (store::StoreError::reason_code
-// or trace/validate.h reason_code); `shard` is -1 when unattributable.
-struct TupleReadFailure {
-    std::uint64_t begin = 0;
-    std::uint64_t count = 0;
-    const char* reason = "unknown";
-    std::string detail;
-    std::int64_t shard = -1;
-};
-
-// Random-access tuple supplier. Implementations must be safe for
-// concurrent read() calls from pool threads (the store-backed source and
-// the in-memory adapter below both are).
-class TupleSource {
-public:
-    virtual ~TupleSource() = default;
-    virtual std::uint64_t num_tuples() const = 0;
-    virtual std::size_t num_decisions() const = 0;
-    // Append tuples [begin, begin + count) to `out` (cleared first).
-    virtual void read(std::uint64_t begin, std::uint64_t count,
-                      std::vector<LoggedTuple>& out) const = 0;
-    // Fault-tolerant read: append the tuples that could be produced (in
-    // global order) and record the ranges that could not in `failures`
-    // (appended). The default is all-or-nothing — it delegates to read()
-    // and lets exceptions propagate; sources with sub-range recovery
-    // (StoreTupleSource) override it.
-    virtual void read_tolerant(std::uint64_t begin, std::uint64_t count,
-                               std::vector<LoggedTuple>& out,
-                               std::vector<TupleReadFailure>& failures) const {
-        (void)failures;
-        read(begin, count, out);
-    }
-};
-
-// Adapter over an in-memory Trace (reference semantics — the trace must
-// outlive the source). Copies each tuple it reads; Evaluator reads its
-// resident trace directly instead.
-class TraceTupleSource final : public TupleSource {
-public:
-    explicit TraceTupleSource(const Trace& trace) : trace_(&trace) {}
-    std::uint64_t num_tuples() const override { return trace_->size(); }
-    std::size_t num_decisions() const override {
-        return trace_->num_decisions();
-    }
-    void read(std::uint64_t begin, std::uint64_t count,
-              std::vector<LoggedTuple>& out) const override;
-
-private:
-    const Trace* trace_;
-};
 
 enum class FailureMode { kStrict = 0, kQuarantine = 1, kDegrade = 2 };
 

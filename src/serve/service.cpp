@@ -185,15 +185,9 @@ ResultMsg EvalService::evaluate_body(const EvaluateMsg& request,
         static_cast<int>(request.ci_replicates), 0.95);
     // A brownout estimate already averages over exactly the prefix tuples
     // (the exact denominator rescaling — no phantom mass from unevaluated
-    // tuples); what is left is to widen the CI half-widths by 1/coverage,
-    // the same transform the streaming degrade mode applies
-    // (core/streaming.cpp): deterministic, monotone in the skipped mass,
-    // identity for a clean run.
-    if (result.dr_ci && actual_coverage > 0.0 && actual_coverage < 1.0) {
-        stats::ConfidenceInterval& ci = *result.dr_ci;
-        ci.lower = ci.point - (ci.point - ci.lower) / actual_coverage;
-        ci.upper = ci.point + (ci.upper - ci.point) / actual_coverage;
-    }
+    // tuples); what is left is the CI widening streaming's degrade mode
+    // applies too.
+    core::widen_ci_by_coverage(result, actual_coverage);
     check_deadline(deadline, "compute");
 #if DRE_OBS_ENABLED
     const std::uint64_t render_start_ns = obs::now_ns();

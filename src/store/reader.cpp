@@ -436,8 +436,9 @@ StoreReader::RowGroup StoreReader::row_group(std::size_t group) const {
     }
 }
 
-void StoreReader::read_rows(std::uint64_t begin, std::uint64_t count,
-                            std::vector<LoggedTuple>& out) const {
+void StoreReader::read_rows(
+    std::uint64_t begin, std::uint64_t count, std::vector<LoggedTuple>& out,
+    std::vector<core::TupleReadFailure>* failures) const {
     const Impl& im = *impl_;
     out.clear();
     if (count > im.header.num_tuples || begin > im.header.num_tuples - count)
@@ -453,35 +454,6 @@ void StoreReader::read_rows(std::uint64_t begin, std::uint64_t count,
     std::uint64_t row = begin;
     const std::uint64_t end = begin + count;
     while (row < end) {
-        const RowGroup rg = row_group(g);
-        const RowGroupView& v = rg.view();
-        const std::uint64_t group_begin = im.row_offset[g];
-        const std::size_t lo = static_cast<std::size_t>(row - group_begin);
-        const std::size_t hi = static_cast<std::size_t>(
-            std::min<std::uint64_t>(end - group_begin, v.rows));
-        append_rows(v, lo, hi, out);
-        row = group_begin + hi;
-        ++g;
-    }
-}
-
-void StoreReader::read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
-                                     std::vector<LoggedTuple>& out,
-                                     std::vector<ReadFailure>& failures) const {
-    const Impl& im = *impl_;
-    out.clear();
-    if (count > im.header.num_tuples || begin > im.header.num_tuples - count)
-        fail(im.path, "read_rows of " + std::to_string(count) +
-                          " rows at " + std::to_string(begin) + " exceeds " +
-                          std::to_string(im.header.num_tuples) + " tuples");
-    if (count == 0) return;
-    out.reserve(count);
-    const auto it = std::upper_bound(im.row_offset.begin(), im.row_offset.end(),
-                                     begin);
-    std::size_t g = static_cast<std::size_t>(it - im.row_offset.begin()) - 1;
-    std::uint64_t row = begin;
-    const std::uint64_t end = begin + count;
-    while (row < end) {
         const std::uint64_t group_begin = im.row_offset[g];
         const std::size_t lo = static_cast<std::size_t>(row - group_begin);
         const std::size_t hi = static_cast<std::size_t>(std::min<std::uint64_t>(
@@ -490,9 +462,10 @@ void StoreReader::read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
             const RowGroup rg = row_group(g);
             append_rows(rg.view(), lo, hi, out);
         } catch (const StoreError& e) {
-            failures.push_back({group_begin + lo,
-                                static_cast<std::uint64_t>(hi - lo),
-                                e.reason_code(), e.what()});
+            if (failures == nullptr) throw;
+            failures->push_back({group_begin + lo,
+                                 static_cast<std::uint64_t>(hi - lo),
+                                 e.reason_code()});
         }
         row = group_begin + hi;
         ++g;

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "core/tuple_source.h"
 #include "store/error.h"
 #include "store/format.h"
 #include "store/group_cache.h"
@@ -88,15 +89,6 @@ struct StoreReaderOptions {
     std::uint64_t fault_group_offset = 0;
 };
 
-// One unreadable sub-range recorded by read_rows_tolerant.
-struct ReadFailure {
-    std::uint64_t begin = 0;  // first affected row (caller coordinates)
-    std::uint64_t count = 0;  // affected rows
-    const char* reason = "";  // stable code, e.g. "store-corruption"
-    std::string detail;       // the underlying error text
-    std::int64_t shard = -1;  // filled by ShardedStore; -1 = single file
-};
-
 class StoreReader {
 public:
     using IoMode = store::IoMode;
@@ -137,18 +129,15 @@ public:
     RowGroup row_group(std::size_t group) const;
 
     // Appends `count` tuples starting at global row `begin` to `out`
-    // (cleared first). Thread-safe.
+    // (cleared first). Thread-safe. With no `failures` sink, the first
+    // StoreError propagates. With one, the walk continues past each damaged
+    // row group — the retry policy still runs first — and records the
+    // group's intersection with the range in `failures` (appended, in row
+    // order, shard -1). Range errors throw either way (caller bug).
     void read_rows(std::uint64_t begin, std::uint64_t count,
-                   std::vector<LoggedTuple>& out) const;
-
-    // Fault-tolerant variant: appends the tuples of every readable row
-    // group intersecting [begin, begin + count) and records each damaged
-    // group's intersection in `failures` (appended, in row order) instead
-    // of throwing. The retry policy still runs first — only errors that
-    // survive it are recorded. Range errors still throw (caller bug).
-    void read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
-                            std::vector<LoggedTuple>& out,
-                            std::vector<ReadFailure>& failures) const;
+                   std::vector<LoggedTuple>& out,
+                   std::vector<core::TupleReadFailure>* failures =
+                       nullptr) const;
 
     Trace read_all() const;
 

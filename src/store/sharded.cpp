@@ -57,8 +57,9 @@ std::uint64_t ShardedStore::num_tuples() const noexcept {
     return row_offset_.back();
 }
 
-void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
-                             std::vector<LoggedTuple>& out) const {
+void ShardedStore::read_rows(
+    std::uint64_t begin, std::uint64_t count, std::vector<LoggedTuple>& out,
+    std::vector<core::TupleReadFailure>* failures) const {
     out.clear();
     if (count > num_tuples() || begin > num_tuples() - count)
         throw std::out_of_range(
@@ -79,47 +80,15 @@ void ShardedStore::read_rows(std::uint64_t begin, std::uint64_t count,
         const std::uint64_t local_end =
             std::min<std::uint64_t>(end - shard_begin,
                                     shards_[s]->num_tuples());
+        const std::size_t first_failure = failures ? failures->size() : 0;
         shards_[s]->read_rows(local_begin, local_end - local_begin,
-                              shard_rows);
+                              shard_rows, failures);
         for (LoggedTuple& t : shard_rows) out.push_back(std::move(t));
-        row = shard_begin + local_end;
-        ++s;
-    }
-}
-
-void ShardedStore::read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
-                                      std::vector<LoggedTuple>& out,
-                                      std::vector<ReadFailure>& failures) const {
-    out.clear();
-    if (count > num_tuples() || begin > num_tuples() - count)
-        throw std::out_of_range(
-            "ShardedStore: read_rows of " + std::to_string(count) +
-            " rows at " + std::to_string(begin) + " exceeds " +
-            std::to_string(num_tuples()) + " tuples");
-    if (count == 0) return;
-    out.reserve(count);
-    const auto it =
-        std::upper_bound(row_offset_.begin(), row_offset_.end(), begin);
-    std::size_t s = static_cast<std::size_t>(it - row_offset_.begin()) - 1;
-    std::uint64_t row = begin;
-    const std::uint64_t end = begin + count;
-    std::vector<LoggedTuple> shard_rows;
-    std::vector<ReadFailure> shard_failures;
-    while (row < end) {
-        const std::uint64_t shard_begin = row_offset_[s];
-        const std::uint64_t local_begin = row - shard_begin;
-        const std::uint64_t local_end =
-            std::min<std::uint64_t>(end - shard_begin,
-                                    shards_[s]->num_tuples());
-        shard_failures.clear();
-        shards_[s]->read_rows_tolerant(local_begin, local_end - local_begin,
-                                       shard_rows, shard_failures);
-        for (LoggedTuple& t : shard_rows) out.push_back(std::move(t));
-        for (ReadFailure& f : shard_failures) {
-            f.begin += shard_begin; // shard-local -> global coordinates
-            f.shard = static_cast<std::int64_t>(s);
-            failures.push_back(std::move(f));
-        }
+        if (failures != nullptr)
+            for (std::size_t i = first_failure; i < failures->size(); ++i) {
+                (*failures)[i].begin += shard_begin; // local -> global
+                (*failures)[i].shard = static_cast<std::int64_t>(s);
+            }
         row = shard_begin + local_end;
         ++s;
     }

@@ -45,15 +45,14 @@ public:
 
     // Appends tuples [begin, begin + count) in global order to `out`
     // (cleared first), crossing shard boundaries as needed. Thread-safe.
+    // `failures` is StoreReader::read_rows' sink: with one, damaged row
+    // groups are skipped (after each shard's retry policy runs) and
+    // recorded in global row order, begin/count in global coordinates and
+    // the shard filled in.
     void read_rows(std::uint64_t begin, std::uint64_t count,
-                   std::vector<LoggedTuple>& out) const;
-
-    // Fault-tolerant variant: damaged row groups are skipped (after each
-    // shard's retry policy runs) and recorded in `failures` (appended, in
-    // global row order, begin/count in global coordinates, shard filled).
-    void read_rows_tolerant(std::uint64_t begin, std::uint64_t count,
-                            std::vector<LoggedTuple>& out,
-                            std::vector<ReadFailure>& failures) const;
+                   std::vector<LoggedTuple>& out,
+                   std::vector<core::TupleReadFailure>* failures =
+                       nullptr) const;
 
     Trace read_all() const;
 
@@ -82,11 +81,7 @@ public:
         std::uint64_t begin, std::uint64_t count,
         std::vector<LoggedTuple>& out,
         std::vector<core::TupleReadFailure>& failures) const override {
-        std::vector<ReadFailure> store_failures;
-        store_->read_rows_tolerant(begin, count, out, store_failures);
-        for (ReadFailure& f : store_failures)
-            failures.push_back(
-                {f.begin, f.count, f.reason, std::move(f.detail), f.shard});
+        store_->read_rows(begin, count, out, &failures);
     }
 
 private:

@@ -1,7 +1,6 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -58,21 +57,6 @@ Trace Trace::resampled(stats::Rng& rng) const {
     for (std::size_t i = 0; i < size(); ++i)
         out.add(tuples_[rng.uniform_index(size())]);
     return out;
-}
-
-void validate_trace(const Trace& trace) {
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const LoggedTuple& t = trace[i];
-        if (!std::isfinite(t.reward))
-            throw std::invalid_argument("trace tuple " + std::to_string(i) +
-                                        ": non-finite reward");
-        if (!(t.propensity > 0.0) || t.propensity > 1.0)
-            throw std::invalid_argument("trace tuple " + std::to_string(i) +
-                                        ": propensity outside (0,1]");
-        if (t.decision < 0)
-            throw std::invalid_argument("trace tuple " + std::to_string(i) +
-                                        ": negative decision id");
-    }
 }
 
 } // namespace dre

@@ -58,9 +58,9 @@ private:
     std::vector<LoggedTuple> tuples_;
 };
 
-// Sanity checks used by the estimators: throws std::invalid_argument when a
-// tuple has a non-finite reward, a propensity outside (0, 1], or a negative
-// decision id.
+// Sanity check used by the estimators: throws std::invalid_argument
+// ("trace tuple <i>: <reason code>") at the first tuple that
+// trace/validate.h's classify_tuple rejects (decision range unchecked).
 void validate_trace(const Trace& trace);
 
 } // namespace dre

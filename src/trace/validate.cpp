@@ -1,6 +1,7 @@
 #include "trace/validate.h"
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace dre {
@@ -29,6 +30,18 @@ TupleDefect classify_tuple(const LoggedTuple& tuple,
          static_cast<std::size_t>(tuple.decision) >= num_decisions))
         return TupleDefect::kDecisionOutOfRange;
     return TupleDefect::kNone;
+}
+
+void throw_tuple_defect(std::uint64_t index, TupleDefect defect) {
+    throw std::invalid_argument("trace tuple " + std::to_string(index) + ": " +
+                                reason_code(defect));
+}
+
+void validate_trace(const Trace& trace) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TupleDefect defect = classify_tuple(trace[i], 0);
+        if (defect != TupleDefect::kNone) throw_tuple_defect(i, defect);
+    }
 }
 
 std::map<std::string, std::uint64_t> count_defects(const Trace& trace,

@@ -1,11 +1,13 @@
 // Structural tuple validation with stable reason codes.
 //
-// One classifier shared by every layer that meets raw tuples: the audit
-// linter (core/audit), the load paths (CSV and .drt in dre_eval), and the
-// hardened streaming evaluator (core/streaming), whose QuarantineReport
-// uses exactly these reason-code strings. A tuple that passes is safe for
-// every estimator: finite reward and context, propensity in (0, 1], and a
-// decision inside [0, num_decisions).
+// The one tuple validator. Every layer that meets raw tuples classifies
+// them here: validate_trace (the estimators' and Evaluator's check), the
+// audit linter (core/audit), the load paths (CSV and .drt in dre_eval and
+// dre_serve), and the streaming evaluator (core/streaming), whose strict
+// mode throws what its tolerant modes quarantine under exactly these
+// reason-code strings. A tuple that passes is safe for every estimator:
+// finite reward and context, propensity in (0, 1], and a decision inside
+// [0, num_decisions).
 #ifndef DRE_TRACE_VALIDATE_H
 #define DRE_TRACE_VALIDATE_H
 
@@ -36,6 +38,11 @@ const char* reason_code(TupleDefect defect) noexcept;
 // negative ids).
 TupleDefect classify_tuple(const LoggedTuple& tuple,
                            std::size_t num_decisions) noexcept;
+
+// Throws std::invalid_argument("trace tuple <index>: <reason code>") — the
+// strict-intake error of validate_trace and strict streaming, where
+// `index` is the tuple's global position.
+[[noreturn]] void throw_tuple_defect(std::uint64_t index, TupleDefect defect);
 
 // Per-defect tuple counts over a whole trace (reason code -> count;
 // defect-free tuples are not counted). Empty result == clean trace.

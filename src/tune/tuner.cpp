@@ -1,14 +1,11 @@
 #include "tune/tuner.h"
 
-#include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include <unistd.h>
-
+#include "core/checkpoint.h"
 #include "core/estimators.h"
 #include "core/parallel.h"
 #include "core/qhat.h"
@@ -24,64 +21,12 @@ constexpr std::uint64_t kCollectStream = 0;
 constexpr std::uint64_t kProposeStream = 1;
 constexpr std::uint64_t kGateStream = 2;
 
-// ---------------------------------------------------------------------------
-// Checkpoint file format (host byte order; same-machine resume), the PR-5
-// pattern: magic "DRETUNE1" | u64 config_hash | payload | u64 fnv1a(all
-// preceding bytes). The payload is plain data only — the incumbent policy
-// object is deliberately NOT serialized; resume rebuilds it by replaying
-// the promotion waves (each a pure function of the seed).
-// ---------------------------------------------------------------------------
-
-constexpr char kCheckpointMagic[8] = {'D', 'R', 'E', 'T', 'U', 'N', 'E', '1'};
-
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t hash = 1469598103934665603ull) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-[[noreturn]] void ckpt_fail(const std::string& what) {
-    throw std::runtime_error("tune checkpoint: " + what);
-}
-
-struct Serializer {
-    std::string buf;
-
-    void u64(std::uint64_t v) { buf.append(reinterpret_cast<const char*>(&v), 8); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(const std::string& s) {
-        u64(s.size());
-        buf.append(s);
-    }
-};
-
-struct Parser {
-    const std::string& buf;
-    std::size_t pos = 0;
-
-    void raw(void* out, std::size_t len) {
-        if (pos + len > buf.size()) ckpt_fail("truncated file");
-        std::memcpy(out, buf.data() + pos, len);
-        pos += len;
-    }
-    std::uint64_t u64() {
-        std::uint64_t v;
-        raw(&v, 8);
-        return v;
-    }
-    double f64() { return std::bit_cast<double>(u64()); }
-    std::string str() {
-        const std::uint64_t len = u64();
-        if (len > buf.size() - pos) ckpt_fail("truncated string");
-        std::string s(buf.data() + pos, static_cast<std::size_t>(len));
-        pos += static_cast<std::size_t>(len);
-        return s;
-    }
-};
+// The tuner checkpoint (core/checkpoint.h framing). The payload is plain
+// data only — the incumbent policy object is deliberately NOT serialized;
+// resume rebuilds it by replaying the promotion waves (each a pure
+// function of the seed).
+constexpr core::CheckpointFormat kCheckpointFormat{
+    "DRETUNE1", "tune checkpoint", "candidates, options, or seed"};
 
 // Everything the wave loop carries across waves, checkpointable as a unit.
 struct TuneState {
@@ -100,7 +45,7 @@ struct TuneState {
 std::uint64_t config_hash(std::uint64_t seed,
                           const std::vector<PolicyCandidate>& candidates,
                           const TuneOptions& options, std::size_t decisions) {
-    Serializer s;
+    core::CheckpointWriter s;
     s.u64(seed);
     s.u64(options.waves);
     s.u64(decisions);
@@ -113,14 +58,12 @@ std::uint64_t config_hash(std::uint64_t seed,
     s.f64(options.controller.epsilon);
     s.f64(options.controller.alpha);
     s.f64(options.redeploy_epsilon);
-    return fnv1a(s.buf.data(), s.buf.size());
+    return s.digest();
 }
 
 void write_checkpoint(const std::string& path, std::uint64_t hash,
                       const TuneState& state) {
-    Serializer s;
-    s.buf.append(kCheckpointMagic, sizeof kCheckpointMagic);
-    s.u64(hash);
+    core::CheckpointWriter s = core::begin_checkpoint(kCheckpointFormat, hash);
     s.u64(state.next_wave);
     s.u64(state.evaluations);
     s.u64(state.promotions);
@@ -139,21 +82,7 @@ void write_checkpoint(const std::string& path, std::uint64_t hash,
     for (const double score : state.controller_scores) s.f64(score);
     s.u64(state.controller_counts.size());
     for (const std::uint64_t count : state.controller_counts) s.u64(count);
-    s.u64(fnv1a(s.buf.data(), s.buf.size()));
-
-    const std::string tmp = path + ".tmp";
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr)
-        ckpt_fail("cannot create " + tmp + ": " + std::strerror(errno));
-    const bool written =
-        std::fwrite(s.buf.data(), 1, s.buf.size(), file) == s.buf.size() &&
-        std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
-    if (std::fclose(file) != 0 || !written) {
-        std::remove(tmp.c_str());
-        ckpt_fail("write failed for " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        ckpt_fail("rename failed for " + path + ": " + std::strerror(errno));
+    core::commit_checkpoint(kCheckpointFormat, s, path);
     DRE_COUNTER_INC("tune.checkpoints_written");
 }
 
@@ -161,30 +90,10 @@ void write_checkpoint(const std::string& path, std::uint64_t hash,
 // malformed or mismatched content.
 bool load_checkpoint(const std::string& path, std::uint64_t hash,
                      TuneState& state) {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) return false;
-    std::string buf;
-    char block[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(block, 1, sizeof block, file)) > 0)
-        buf.append(block, got);
-    const bool read_error = std::ferror(file) != 0;
-    std::fclose(file);
-    if (read_error) ckpt_fail("read failed for " + path);
-
-    if (buf.size() < sizeof kCheckpointMagic + 16) ckpt_fail("truncated file");
-    if (std::memcmp(buf.data(), kCheckpointMagic, sizeof kCheckpointMagic) != 0)
-        ckpt_fail(path + " is not a tune checkpoint file");
-    std::uint64_t stored_sum;
-    std::memcpy(&stored_sum, buf.data() + buf.size() - 8, 8);
-    if (fnv1a(buf.data(), buf.size() - 8) != stored_sum)
-        ckpt_fail(path + " is corrupt (checksum mismatch)");
-
-    Parser p{buf, sizeof kCheckpointMagic};
-    if (p.u64() != hash)
-        ckpt_fail(path +
-                  " was written by a run with different candidates, options, "
-                  "or seed — refusing to resume");
+    std::optional<core::CheckpointReader> reader =
+        core::load_checkpoint_file(kCheckpointFormat, path, hash);
+    if (!reader) return false;
+    core::CheckpointReader& p = *reader;
     state.next_wave = p.u64();
     state.evaluations = p.u64();
     state.promotions = p.u64();

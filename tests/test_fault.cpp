@@ -198,47 +198,193 @@ TEST(Quarantine, InvalidTuplesUseSharedReasonCodes) {
 
     // The evaluator fits its models on the clean trace (its constructor
     // validates); only the streamed source carries the defects.
-    EvaluationConfig config;
-    const Evaluator evaluator(clean_trace, config, stats::Rng(7));
+    const Evaluator evaluator(clean_trace, EvaluationConfig{}, stats::Rng(7));
     const UniformRandomPolicy policy(trace.num_decisions());
     const TraceTupleSource source(trace);
 
-    StreamingOptions options;
-    options.on_error = FailureMode::kQuarantine;
-    const StreamingResult result =
-        run_guarded(source, evaluator, policy, options);
-    const QuarantineReport& q = result.quarantine;
-    EXPECT_EQ(q.tuples_total, 3000u);
-    EXPECT_EQ(q.tuples_evaluated, 2995u);
-    EXPECT_EQ(q.tuples_quarantined, 5u);
-    EXPECT_EQ(q.reason_counts.at("non-finite-reward"), 2u);
-    EXPECT_EQ(q.reason_counts.at("invalid-propensity"), 1u);
-    EXPECT_EQ(q.reason_counts.at("non-finite-context"), 1u);
-    EXPECT_EQ(q.reason_counts.at("decision-out-of-range"), 1u);
-
-    // The estimates equal a clean evaluation of the surviving sub-trace:
-    // quarantine rescales denominators instead of deflating the means.
     Trace surviving = trace;
     remove_defective_tuples(surviving, policy.num_decisions());
-    const Evaluator clean(surviving, config, stats::Rng(7));
     const TraceTupleSource clean_source(surviving);
-    StreamingOptions strict;
-    const std::string clean_print = fingerprint(
-        evaluate_streaming(clean_source, clean.reward_model(), policy, strict,
-                           stats::Rng(7)));
-    // Chunk geometry differs once tuples are removed (quarantine keeps the
-    // original global indices), so compare the denominator-sensitive
-    // scalars rather than the full bit pattern.
-    const PolicyEvaluation& e = result.evaluation;
-    EXPECT_EQ(e.overlap.n, 2995u);
-    EXPECT_TRUE(std::isfinite(e.dr.value));
-    (void)clean_print;
+    for (const int ci : {0, 50}) {
+        SCOPED_TRACE(ci);
+        StreamingOptions options;
+        options.on_error = FailureMode::kQuarantine;
+        options.ci_replicates = ci;
+        const StreamingResult result =
+            run_guarded(source, evaluator, policy, options);
+        const QuarantineReport& q = result.quarantine;
+        EXPECT_EQ(q.tuples_total, 3000u);
+        EXPECT_EQ(q.tuples_evaluated, 2995u);
+        EXPECT_EQ(q.tuples_quarantined, 5u);
+        EXPECT_EQ(q.reason_counts.at("non-finite-reward"), 2u);
+        EXPECT_EQ(q.reason_counts.at("invalid-propensity"), 1u);
+        EXPECT_EQ(q.reason_counts.at("non-finite-context"), 1u);
+        EXPECT_EQ(q.reason_counts.at("decision-out-of-range"), 1u);
+        EXPECT_EQ(result.evaluation.overlap.n, 2995u);
 
-    // Strict mode is fail-stop: the first defective tuple aborts the run
-    // (the per-chunk estimator validates) instead of being quarantined.
+        // The result equals a clean evaluation of the surviving sub-trace
+        // under the same model, bit for bit: quarantine rescales the
+        // denominators instead of deflating the means. Both runs are one
+        // chunk (3000 < par::kReduceChunk), so the geometry matches too.
+        StreamingOptions strict;
+        strict.ci_replicates = ci;
+        EXPECT_EQ(fingerprint(result.evaluation),
+                  fingerprint(evaluate_streaming(
+                      clean_source, evaluator.reward_model(), policy, strict,
+                      stats::Rng(7))));
+    }
+
+    // Strict mode is fail-stop: the first defective tuple (global index 4)
+    // aborts the run instead of being quarantined.
     StreamingOptions strict_options;
-    EXPECT_THROW(run_guarded(source, evaluator, policy, strict_options),
-                 std::invalid_argument);
+    try {
+        run_guarded(source, evaluator, policy, strict_options);
+        FAIL() << "strict streaming accepted a defective tuple";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "trace tuple 4: decision-out-of-range");
+    }
+}
+
+// A strict error names the tuple's global index, not its index within
+// the chunk it was read in.
+TEST(Quarantine, StrictErrorNamesTheGlobalTupleIndex) {
+    const Trace clean_trace = cdn_trace(9000); // three chunks
+    Trace trace = clean_trace;
+    trace[8200].reward = std::numeric_limits<double>::quiet_NaN();
+    const Evaluator evaluator(clean_trace, EvaluationConfig{}, stats::Rng(7));
+    const UniformRandomPolicy policy(trace.num_decisions());
+    try {
+        run_guarded(TraceTupleSource(trace), evaluator, policy, {});
+        FAIL() << "strict streaming accepted a NaN reward";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "trace tuple 8200: non-finite-reward");
+    }
+}
+
+// Every defect the one validator knows is rejected by the Evaluator
+// constructor and by strict streaming, and quarantined under its reason
+// code by the tolerant modes.
+TEST(Quarantine, EveryDefectIsRejectedStrictlyAndQuarantinedTolerantly) {
+    const Trace clean_trace = cdn_trace(600);
+    const Evaluator evaluator(clean_trace, EvaluationConfig{}, stats::Rng(7));
+    const UniformRandomPolicy policy(clean_trace.num_decisions());
+    const std::pair<TupleDefect, void (*)(LoggedTuple&)> cases[] = {
+        {TupleDefect::kNonFiniteReward,
+         [](LoggedTuple& t) {
+             t.reward = std::numeric_limits<double>::quiet_NaN();
+         }},
+        {TupleDefect::kNonFiniteContext,
+         [](LoggedTuple& t) {
+             t.context.numeric[0] = std::numeric_limits<double>::infinity();
+         }},
+        {TupleDefect::kInvalidPropensity,
+         [](LoggedTuple& t) { t.propensity = 0.0; }},
+        {TupleDefect::kDecisionOutOfRange,
+         [](LoggedTuple& t) { t.decision = -1; }},
+    };
+    for (const auto& [defect, damage] : cases) {
+        const std::string reason = reason_code(defect);
+        SCOPED_TRACE(reason);
+        Trace trace = clean_trace;
+        damage(trace[321]);
+        ASSERT_EQ(classify_tuple(trace[321], policy.num_decisions()), defect);
+        EXPECT_THROW(Evaluator(trace, EvaluationConfig{}, stats::Rng(7)),
+                     std::invalid_argument);
+
+        const TraceTupleSource source(trace);
+        try {
+            run_guarded(source, evaluator, policy, {});
+            FAIL() << "strict streaming accepted the defect";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()), "trace tuple 321: " + reason);
+        }
+
+        StreamingOptions options;
+        options.on_error = FailureMode::kQuarantine;
+        const QuarantineReport q =
+            run_guarded(source, evaluator, policy, options).quarantine;
+        EXPECT_EQ(q.tuples_quarantined, 1u);
+        ASSERT_EQ(q.records.size(), 1u);
+        EXPECT_EQ(q.records[0].begin, 321u);
+        EXPECT_EQ(q.records[0].reason, reason);
+    }
+}
+
+// A source whose tolerant read cannot produce [gap_begin, gap_end): it
+// records that range as one failure and returns the rest, like a store
+// with a damaged row group. A nonzero `surplus` makes it a broken source
+// that returns that many tuples more (or fewer) than it accounts for.
+class GappySource final : public TupleSource {
+public:
+    GappySource(const Trace& trace, std::uint64_t gap_begin,
+                std::uint64_t gap_end, int surplus = 0)
+        : inner_(trace), gap_begin_(gap_begin), gap_end_(gap_end),
+          surplus_(surplus) {}
+
+    std::uint64_t num_tuples() const override { return inner_.num_tuples(); }
+    std::size_t num_decisions() const override {
+        return inner_.num_decisions();
+    }
+    void read(std::uint64_t begin, std::uint64_t count,
+              std::vector<LoggedTuple>& out) const override {
+        inner_.read(begin, count, out);
+    }
+    void read_tolerant(std::uint64_t begin, std::uint64_t count,
+                       std::vector<LoggedTuple>& out,
+                       std::vector<TupleReadFailure>& failures) const override {
+        const std::uint64_t lo = std::max(begin, gap_begin_);
+        const std::uint64_t hi = std::min(begin + count, gap_end_);
+        if (lo < hi) {
+            std::vector<LoggedTuple> tail;
+            inner_.read(begin, lo - begin, out);
+            inner_.read(hi, begin + count - hi, tail);
+            out.insert(out.end(), tail.begin(), tail.end());
+            failures.push_back({lo, hi - lo, "store-corruption", 0});
+        } else {
+            inner_.read(begin, count, out);
+        }
+        if (surplus_ > 0) out.push_back(out.back());
+        if (surplus_ < 0) out.pop_back();
+    }
+
+private:
+    TraceTupleSource inner_;
+    std::uint64_t gap_begin_;
+    std::uint64_t gap_end_;
+    int surplus_;
+};
+
+// The intake walk pairs each tuple with its global index past the ranges a
+// tolerant read could not produce, and a source whose tuple count
+// disagrees with its failure ranges is an error in either direction.
+TEST(Quarantine, DefectsAfterAnUnreadableRangeKeepTheirGlobalIndex) {
+    const Trace clean_trace = cdn_trace(3000);
+    Trace trace = clean_trace;
+    trace[700].reward = std::numeric_limits<double>::quiet_NaN(); // unread
+    trace[1500].reward = std::numeric_limits<double>::quiet_NaN();
+    const Evaluator evaluator(clean_trace, EvaluationConfig{}, stats::Rng(7));
+    const UniformRandomPolicy policy(trace.num_decisions());
+    StreamingOptions options;
+    options.on_error = FailureMode::kQuarantine;
+
+    const QuarantineReport q =
+        run_guarded(GappySource(trace, 512, 1024), evaluator, policy, options)
+            .quarantine;
+    EXPECT_EQ(q.tuples_evaluated, 3000u - 513u);
+    ASSERT_EQ(q.records.size(), 2u);
+    EXPECT_EQ(q.records[0].begin, 512u);
+    EXPECT_EQ(q.records[0].count, 512u);
+    EXPECT_EQ(q.records[0].reason, "store-corruption");
+    EXPECT_EQ(q.records[1].begin, 1500u);
+    EXPECT_EQ(q.records[1].count, 1u);
+    EXPECT_EQ(q.records[1].reason, "non-finite-reward");
+
+    for (const int surplus : {1, -1}) {
+        EXPECT_THROW(run_guarded(GappySource(trace, 512, 1024, surplus),
+                                 evaluator, policy, options),
+                     std::runtime_error)
+            << surplus;
+    }
 }
 
 TEST(Degrade, WidensCiByCoverageAndOnlyThen) {

@@ -219,22 +219,30 @@ TEST(StoreReaderTest, WrappingRangesAreRejected) {
                     StoreWriter::Options{128}));
     constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     std::vector<LoggedTuple> rows;
-    std::vector<ReadFailure> failures;
+    std::vector<core::TupleReadFailure> failures;
     for (const auto& [begin, count] :
          {std::pair{kMax, std::uint64_t{2}}, std::pair{std::uint64_t{1}, kMax},
           std::pair{kMax, kMax}}) {
+        // With and without a failure sink: a bad range is a caller bug,
+        // never a recordable failure.
         EXPECT_THROW(reader.read_rows(begin, count, rows), std::runtime_error);
-        EXPECT_THROW(reader.read_rows_tolerant(begin, count, rows, failures),
+        EXPECT_THROW(reader.read_rows(begin, count, rows, &failures),
                      std::runtime_error);
         EXPECT_THROW(sharded.read_rows(begin, count, rows), std::out_of_range);
-        EXPECT_THROW(sharded.read_rows_tolerant(begin, count, rows, failures),
+        EXPECT_THROW(sharded.read_rows(begin, count, rows, &failures),
                      std::out_of_range);
     }
-    // The last row is still reachable.
+    EXPECT_TRUE(failures.empty());
+    // The last row is still reachable, in both forms.
     reader.read_rows(299, 1, rows);
+    EXPECT_EQ(rows.size(), 1u);
+    reader.read_rows(299, 1, rows, &failures);
     EXPECT_EQ(rows.size(), 1u);
     sharded.read_rows(299, 1, rows);
     EXPECT_EQ(rows.size(), 1u);
+    sharded.read_rows(299, 1, rows, &failures);
+    EXPECT_EQ(rows.size(), 1u);
+    EXPECT_TRUE(failures.empty());
 }
 
 TEST(ShardedStoreTest, SplitAndConcatPreserveGlobalOrder) {
@@ -513,6 +521,50 @@ TEST_F(StoreCorruptionTest, FlippedChunkByteNamesTheGroup) {
         expect_rejected([&] { reader.read_rows(0, 300, rows); },
                         "row group 1 checksum mismatch");
     }
+}
+
+// The failure sink makes the same walk tolerant: the damaged group's
+// intersection with the range is recorded and the walk continues, and a
+// shard set rebases what a shard recorded to global rows.
+TEST_F(StoreCorruptionTest, FailureSinkRecordsDamagedGroupAndContinues) {
+    const RowGroupInfo info = StoreReader(path_).row_group_info(1);
+    const std::string intact = tmp_.path("a.drt");
+    const std::string flipped = tmp_.path("b.drt");
+    dump(intact, bytes_);
+    bytes_[info.offset + 40] ^= 0x01; // payload byte inside group 1
+    dump(flipped, bytes_);
+    const Trace trace = cdn_trace(400);
+
+    const StoreReader reader(flipped);
+    std::vector<LoggedTuple> rows;
+    std::vector<core::TupleReadFailure> failures;
+    reader.read_rows(100, 200, rows, &failures); // groups 0-2, 1 is damaged
+    ASSERT_EQ(rows.size(), 28u + 44u);
+    EXPECT_EQ(rows[28].reward, trace[256].reward);
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].begin, 128u);
+    EXPECT_EQ(failures[0].count, 128u);
+    EXPECT_STREQ(failures[0].reason, "store-corruption");
+    EXPECT_EQ(failures[0].shard, -1);
+    failures.clear();
+    reader.read_rows(200, 100, rows, &failures); // starts inside group 1
+    ASSERT_EQ(rows.size(), 44u);
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].begin, 200u);
+    EXPECT_EQ(failures[0].count, 56u);
+
+    const ShardedStore sharded({flipped, intact}); // shard 1 is b.drt
+    failures.clear();
+    sharded.read_rows(350, 200, rows, &failures); // crosses into shard 1
+    ASSERT_EQ(rows.size(), 50u + 128u);
+    EXPECT_EQ(rows[50].reward, trace[0].reward);
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].begin, 400u + 128u);
+    EXPECT_EQ(failures[0].count, 22u);
+    EXPECT_EQ(failures[0].shard, 1);
+    // Without a sink the same walk throws at the damaged group.
+    expect_rejected([&] { sharded.read_rows(350, 200, rows); },
+                    "row group 1 checksum mismatch");
 }
 
 } // namespace

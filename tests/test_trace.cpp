@@ -135,5 +135,21 @@ TEST(ValidateTrace, RejectsNonFiniteRewardAndNegativeDecision) {
     EXPECT_THROW(validate_trace(trace2), std::invalid_argument);
 }
 
+// validate_trace is classify_tuple over the trace, so a non-finite context
+// feature is rejected too, and the error names the tuple and reason code.
+TEST(ValidateTrace, RejectsNonFiniteContext) {
+    Trace trace;
+    trace.add(make_tuple(0, 1.0));
+    LoggedTuple bad = make_tuple(0, 1.0);
+    bad.context.numeric = {0.5, std::numeric_limits<double>::infinity()};
+    trace.add(bad);
+    try {
+        validate_trace(trace);
+        FAIL() << "validate_trace accepted a non-finite context";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "trace tuple 1: non-finite-context");
+    }
+}
+
 } // namespace
 } // namespace dre

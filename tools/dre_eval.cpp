@@ -384,17 +384,13 @@ int main(int argc, char** argv) {
             // harden the fit read too: damaged row groups are skipped and
             // defective tuples dropped, so a quarantinable trace does not
             // abort before the guarded evaluation even starts.
+            const bool strict = on_error == core::FailureMode::kStrict;
             std::vector<LoggedTuple> head;
-            const std::uint64_t head_n = std::min<std::uint64_t>(fit_sample, n);
-            if (on_error == core::FailureMode::kStrict) {
-                shards.read_rows(0, head_n, head);
-            } else {
-                std::vector<store::ReadFailure> fit_failures;
-                shards.read_rows_tolerant(0, head_n, head, fit_failures);
-            }
+            std::vector<core::TupleReadFailure> fit_failures;
+            shards.read_rows(0, std::min<std::uint64_t>(fit_sample, n), head,
+                             strict ? nullptr : &fit_failures);
             Trace fit_trace(std::move(head));
-            if (on_error != core::FailureMode::kStrict)
-                remove_defective_tuples(fit_trace, decisions);
+            if (!strict) remove_defective_tuples(fit_trace, decisions);
             if (fit_trace.empty())
                 throw std::runtime_error(
                     "no usable tuples in the fit sample (trace damage "

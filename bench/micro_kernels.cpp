@@ -9,7 +9,10 @@
 //                 enumeration, BayesianNetwork::posterior
 //   * qhat      — shared PredictionMatrix vs per-call model queries across
 //                 the model-based estimator suite
+//   * qhat_fill — PredictionMatrix::build, scalar kernel table vs native
 //   * bootstrap — stats::bootstrap_ci serial vs configured thread count
+//   * chunked_bootstrap — ChunkedMeanBootstrap::chunk_partials (the fused
+//                 resample kernel), scalar kernel table vs native
 //
 // Flags:
 //   --small              tiny sizes (CI smoke mode; seconds, not minutes)
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -38,6 +42,7 @@
 #include "stats/bootstrap.h"
 #include "stats/knn.h"
 #include "stats/rng.h"
+#include "stats/summary.h"
 #include "wise/bayes_net.h"
 
 using namespace dre;
@@ -315,6 +320,62 @@ int main(int argc, char** argv) {
                          ci_serial.point == ci_parallel.point;
     print_row("bootstrap", "serial", "parallel", boot_row);
 
+    // ---- chunked bootstrap: scalar ISA vs dispatched SIMD ----------------
+    // ChunkedMeanBootstrap::chunk_partials over full 4096-value chunks at
+    // 50 replicates (the streaming DR interval's geometry), on the calling
+    // thread, with the fused resample kernel pinned to the scalar table vs
+    // whatever the CPU dispatches to. Same draws and the same 8-lane sums,
+    // so the partials are byte-identical; only the wall clock moves.
+    const std::size_t boot_chunks = small ? 8 : 128;
+    const int chunk_replicates = 50;
+    std::vector<double> chunk_values(boot_chunks * par::kReduceChunk);
+    {
+        stats::Rng fill(8);
+        for (double& x : chunk_values) x = fill.lognormal(0.0, 1.0);
+    }
+    const stats::ChunkedMeanBootstrap chunked(stats::Rng(43),
+                                              chunk_replicates, 0.95);
+    const auto run_chunked = [&] {
+        std::vector<double> partials;
+        partials.reserve(boot_chunks * chunk_replicates);
+        for (std::size_t c = 0; c < boot_chunks; ++c) {
+            const std::vector<double> p = chunked.chunk_partials(
+                c, std::span<const double>(chunk_values)
+                       .subspan(c * par::kReduceChunk, par::kReduceChunk));
+            partials.insert(partials.end(), p.begin(), p.end());
+        }
+        return partials;
+    };
+    KernelRow chunked_row;
+    simd::set_active_level(simd::Level::kScalar);
+    const std::vector<double> chunked_scalar = run_chunked();
+    simd::set_active_level(native_level);
+    const std::vector<double> chunked_simd = run_chunked();
+    std::tie(chunked_row.baseline_ms, chunked_row.optimized_ms) = time_pair_ms(
+        [&] {
+            simd::set_active_level(simd::Level::kScalar);
+            run_chunked();
+        },
+        [&] {
+            simd::set_active_level(native_level);
+            run_chunked();
+        },
+        small ? 3 : 5);
+    simd::set_active_level(native_level);
+    chunked_row.identical =
+        chunked_scalar.size() == chunked_simd.size() &&
+        std::memcmp(chunked_scalar.data(), chunked_simd.data(),
+                    chunked_scalar.size() * sizeof(double)) == 0;
+    stats::ChunkedMeanBootstrap chunked_fold(stats::Rng(43), chunk_replicates,
+                                             0.95);
+    for (std::size_t c = 0; c < boot_chunks; ++c)
+        chunked_fold.merge(std::span<const double>(chunked_simd)
+                               .subspan(c * chunk_replicates, chunk_replicates));
+    const stats::ConfidenceInterval chunked_ci = chunked_fold.finalize(
+        chunk_values.size(), stats::mean(chunk_values));
+    print_row("chunk_boot", "scalar-isa", simd::level_name(native_level),
+              chunked_row);
+
     // ---- outputs ---------------------------------------------------------
     obs::Report report =
         bench::make_bench_report("micro_kernels", small ? "small" : "full");
@@ -347,6 +408,16 @@ int main(int argc, char** argv) {
     report.set("bootstrap", "parallel_ms", boot_row.optimized_ms);
     report.set("bootstrap", "speedup", boot_row.speedup());
     report.set("bootstrap", "identical", boot_row.identical);
+    report.set("chunked_bootstrap", "level", simd::level_name(native_level));
+    report.set("chunked_bootstrap", "chunks",
+               static_cast<std::uint64_t>(boot_chunks));
+    report.set("chunked_bootstrap", "chunk_size",
+               static_cast<std::uint64_t>(par::kReduceChunk));
+    report.set("chunked_bootstrap", "replicates", chunk_replicates);
+    report.set("chunked_bootstrap", "scalar_ms", chunked_row.baseline_ms);
+    report.set("chunked_bootstrap", "simd_ms", chunked_row.optimized_ms);
+    report.set("chunked_bootstrap", "speedup", chunked_row.speedup());
+    report.set("chunked_bootstrap", "identical", chunked_row.identical);
     bench::write_bench_json(std::move(report), "BENCH_kernels.json");
 
     if (fingerprint_path != nullptr) {
@@ -360,6 +431,9 @@ int main(int argc, char** argv) {
             std::fprintf(fp, "qhat %.17g\n", qhat_checksum_matrix);
             std::fprintf(fp, "bootstrap %.17g %.17g %.17g\n", ci_parallel.point,
                          ci_parallel.lower, ci_parallel.upper);
+            std::fprintf(fp, "chunked_bootstrap %.17g %.17g %.17g %.17g\n",
+                         chunked_ci.point, chunked_ci.lower, chunked_ci.upper,
+                         chunked_simd.front());
 #if DRE_OBS_ENABLED
             // Work counters that are per-item deterministic sums — totals
             // must byte-match for any DRE_THREADS. Timing- or
@@ -381,7 +455,8 @@ int main(int argc, char** argv) {
     }
 
     return knn_row.identical && cbn_row.identical && qhat_row.identical &&
-                   fill_row.identical && boot_row.identical
+                   fill_row.identical && boot_row.identical &&
+                   chunked_row.identical
                ? 0
                : 1;
 }

@@ -470,9 +470,11 @@ ChunkPartial evaluate_chunk(std::span<const LoggedTuple> tuples,
         out.weights[k] = x.weight;
         if (bootstrap != nullptr) dr_values[k] = dr;
     }
-    if (bootstrap != nullptr)
+    if (bootstrap != nullptr) {
+        DRE_SPAN("evaluator.stream_bootstrap");
         out.boot_partials = bootstrap->chunk_partials(
             chunk_id, std::span<const double>(dr_values.data(), n));
+    }
     return out;
 }
 

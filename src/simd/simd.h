@@ -2,8 +2,8 @@
 //
 // The estimation pipeline spends its cycles in a handful of dense loops:
 // squared-distance accumulation inside k-NN leaf scans, the q̂[tuple ×
-// decision] weighted sums shared by every model-based estimator, bootstrap
-// resample accumulation, and CRC-32C over every `.drt` row group. This
+// decision] weighted sums shared by every model-based estimator, fused
+// bootstrap draw-and-sum, and CRC-32C over every `.drt` row group. This
 // library provides those loops as *batched primitives* behind a runtime
 // CPU dispatch: the best instruction set is probed once (CPUID), an
 // explicit `DRE_SIMD=scalar|sse42|avx2` environment override exists for
@@ -22,7 +22,11 @@
 //    mul/add chain (no FMA contraction anywhere in this library), and the
 //    horizontal reduce is the fixed tree
 //    ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7));
-//  * integer kernels (CRC-32C, gathers) are exact by construction.
+//  * integer kernels (CRC-32C, gathers) are exact by construction;
+//  * random draws (resample_sum8) go through the one inline xoshiro256**
+//    and Lemire implementation in simd/xoshiro.h, which stats::Rng also
+//    wraps, and a vector level hands any draw it cannot decide exactly to
+//    that scalar code.
 //
 // Because the lane count is a property of the *kernel*, not the register
 // width, scalar (8 running sums), SSE4.2 (4 × 2-lane xmm) and AVX2
@@ -142,10 +146,17 @@ struct Ops {
     void (*gather)(const double* values, const std::uint32_t* idx,
                    std::size_t n, double* out);
 
-    // Fixed-8-lane gathered accumulation: lane (i mod 8) accumulates
-    // values[idx[i]], canonical tree reduce (bootstrap resample sums).
-    double (*gather_sum8)(const double* values, const std::uint32_t* idx,
-                          std::size_t n);
+    // Fused bootstrap resample sums. For each of `streams` xoshiro256**
+    // states (advanced in place), draw m indices in [0, m) with Lemire's
+    // method (simd/xoshiro.h, the same draws as stats::Rng::uniform_index)
+    // and accumulate values[index] into lane (i mod 8) of that stream's
+    // fixed 8-lane sum; out[stream] is the canonical tree reduce. Indices
+    // never reach memory. The AVX2 level runs 4 streams per register and
+    // hands a lane whose acceptance it cannot decide from 32-bit products
+    // (p ~ 2^-32 per draw) to the scalar rejection loop, so every level
+    // makes the identical draws and sums (DESIGN.md §11).
+    void (*resample_sum8)(std::uint64_t (*states)[4], std::size_t streams,
+                          const double* values, std::size_t m, double* out);
 };
 
 // The dispatched table for active_level(). Every table is an immutable

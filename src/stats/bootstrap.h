@@ -60,6 +60,12 @@ ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
 // Statistically this is a stratified bootstrap (resampling within blocks
 // of ≤ 4096 consecutive tuples): each replicate still draws n tuples with
 // replacement, with the count per block fixed at the block size.
+//
+// A chunk's partials are one simd::Ops::resample_sum8 call over the
+// replicates' stream states, which draws and sums in one pass (4
+// replicates at once on AVX2). Every level makes exactly the
+// Rng::uniform_index draws and sums them in the canonical 8 lanes, so the
+// interval is the same at any DRE_SIMD level too.
 // ---------------------------------------------------------------------------
 class ChunkedMeanBootstrap {
 public:

@@ -13,27 +13,11 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
     std::uint64_t s = seed;
     for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 double Rng::uniform() noexcept {
@@ -44,23 +28,6 @@ double Rng::uniform() noexcept {
 double Rng::uniform(double lo, double hi) {
     if (!(lo < hi)) throw std::invalid_argument("Rng::uniform: lo must be < hi");
     return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_index(std::uint64_t n) {
-    if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be > 0");
-    // Lemire's unbiased rejection method.
-    std::uint64_t x = next_u64();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < n) {
-        const std::uint64_t threshold = (0 - n) % n;
-        while (lo < threshold) {
-            x = next_u64();
-            m = static_cast<__uint128_t>(x) * n;
-            lo = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -3,7 +3,9 @@
 // A thin, hand-rolled substrate: the evaluation experiments must be exactly
 // reproducible across platforms, so we avoid the implementation-defined
 // distributions of <random> and implement the generator (xoshiro256**) and
-// all samplers ourselves.
+// all samplers ourselves. The generator step and the bounded draw are
+// inline wrappers over simd/xoshiro.h, the one implementation that
+// dre_simd's resample kernels share.
 #ifndef DRE_STATS_RNG_H
 #define DRE_STATS_RNG_H
 
@@ -12,6 +14,8 @@
 #include <span>
 #include <stdexcept>
 #include <vector>
+
+#include "simd/xoshiro.h"
 
 namespace dre::stats {
 
@@ -24,7 +28,7 @@ public:
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) noexcept;
 
     // Uniform 64-bit word.
-    std::uint64_t next_u64() noexcept;
+    std::uint64_t next_u64() noexcept { return simd::xoshiro_next(state_); }
 
     // UniformReal in [0, 1).
     double uniform() noexcept;
@@ -32,8 +36,13 @@ public:
     // Uniform in [lo, hi). Requires lo < hi.
     double uniform(double lo, double hi);
 
-    // Uniform integer in [0, n). Requires n > 0.
-    std::uint64_t uniform_index(std::uint64_t n);
+    // Uniform integer in [0, n) by Lemire's unbiased rejection method.
+    // Requires n > 0.
+    std::uint64_t uniform_index(std::uint64_t n) {
+        if (n == 0)
+            throw std::invalid_argument("Rng::uniform_index: n must be > 0");
+        return simd::lemire_draw(state_, n);
+    }
 
     // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);

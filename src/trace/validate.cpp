@@ -33,8 +33,8 @@ TupleDefect classify_tuple(const LoggedTuple& tuple,
 }
 
 void throw_tuple_defect(std::uint64_t index, TupleDefect defect) {
-    throw std::invalid_argument("trace tuple " + std::to_string(index) + ": " +
-                                reason_code(defect));
+    throw TupleDefectError("trace tuple " + std::to_string(index) + ": " +
+                           reason_code(defect));
 }
 
 void validate_trace(const Trace& trace) {

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "trace/trace.h"
@@ -39,7 +40,15 @@ const char* reason_code(TupleDefect defect) noexcept;
 TupleDefect classify_tuple(const LoggedTuple& tuple,
                            std::size_t num_decisions) noexcept;
 
-// Throws std::invalid_argument("trace tuple <index>: <reason code>") — the
+// A defective tuple met by strict intake. It is an std::invalid_argument
+// (the estimators' precondition), and its own type lets a front end tell
+// bad input apart from bad arguments.
+class TupleDefectError : public std::invalid_argument {
+public:
+    using std::invalid_argument::invalid_argument;
+};
+
+// Throws TupleDefectError("trace tuple <index>: <reason code>") — the
 // strict-intake error of validate_trace and strict streaming, where
 // `index` is the tuple's global position.
 [[noreturn]] void throw_tuple_defect(std::uint64_t index, TupleDefect defect);

@@ -163,7 +163,9 @@ TEST(Cli, ExitCodesDistinguishArgumentAndInputErrors) {
 }
 
 // Load-path validation: defective tuples are rejected at read time with
-// the same reason codes the audit linter and QuarantineReport use.
+// the same reason codes the audit linter and QuarantineReport use. A
+// defect is bad input (exit 3) on every path: in memory from CSV or .drt,
+// and under strict --streaming, where the first defect aborts the pass.
 TEST(Cli, RejectsDefectiveTraceWithSharedReasonCodes) {
     CliEnv env;
     stats::Rng rng(2);
@@ -172,9 +174,16 @@ TEST(Cli, RejectsDefectiveTraceWithSharedReasonCodes) {
     trace[7].reward = std::numeric_limits<double>::quiet_NaN();
     const std::string p = testing::TempDir() + "dre_cli_defective.csv";
     write_csv_file(trace, p);
+    const std::string drt = testing::TempDir() + "dre_cli_defective.drt";
+    ASSERT_EQ(run_cli("convert " + p + " " + drt), 0);
     const std::string err = testing::TempDir() + "dre_cli_deferr.txt";
-    EXPECT_EQ(run_cli_env("", p + " uniform", err), 3);
-    EXPECT_NE(slurp(err).find("non-finite-reward"), std::string::npos);
+    for (const std::string& args :
+         {p + " uniform", drt + " uniform", drt + " uniform --streaming",
+          drt + " uniform --streaming --ci 50"}) {
+        EXPECT_EQ(run_cli_env("", args, err), 3) << args;
+        EXPECT_NE(slurp(err).find("non-finite-reward"), std::string::npos)
+            << args;
+    }
 }
 
 TEST(Cli, ErrorsAreOneLineOnStderr) {

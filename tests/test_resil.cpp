@@ -84,6 +84,12 @@ Trace make_trace(std::size_t n) {
     return core::collect_trace(env, logging, n, rng);
 }
 
+// Bootstrap replicates of the "heavy" request the live-server tests park
+// on the dispatcher. Its compute time is the window in which a test queues
+// work behind it, so it must stay tens of milliseconds long: 300 tuples x
+// 100000 replicates is about 30 M resample draws.
+constexpr std::uint64_t kHeavyReplicates = 100000;
+
 serve::EvaluateMsg make_request(const std::string& trace_path,
                                 const std::string& policy = "greedy:tabular",
                                 std::uint64_t seed = 3) {
@@ -622,7 +628,7 @@ TEST(ResilServerTest, QueuedRequestPastItsDeadlineGetsDeadlineExceeded) {
 
     // A heavy job occupies the single dispatcher...
     serve::EvaluateMsg heavy = make_request(path, "greedy:tabular", 1);
-    heavy.ci_replicates = 20000;
+    heavy.ci_replicates = kHeavyReplicates;
     std::string heavy_failure;
     std::thread blocker([&] {
         try {
@@ -671,7 +677,7 @@ TEST(ResilServerTest, AdmissionShedsUnmeetableDeadlines) {
     // Prime the service-time EWMA with one heavy completed job (well over
     // 1 ms)...
     serve::EvaluateMsg heavy = make_request(path, "greedy:tabular", 1);
-    heavy.ci_replicates = 20000;
+    heavy.ci_replicates = kHeavyReplicates;
     EXPECT_EQ(client.evaluate(heavy).text, expected_text(trace, heavy));
 
     // ...then a 1 ms deadline is provably unmeetable and is shed at
@@ -719,7 +725,7 @@ TEST(ResilServerTest, BrownoutServesDegradedAndCachedResultsUnderLoad) {
     // Occupy the dispatcher with a heavy job and park one full-fidelity
     // job in the queue, so the watermark (1) is reached.
     serve::EvaluateMsg heavy = make_request(path, "greedy:tabular", 1);
-    heavy.ci_replicates = 20000;
+    heavy.ci_replicates = kHeavyReplicates;
     std::string bg_failure;
     std::thread blocker([&] {
         try {

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -264,7 +266,7 @@ TEST(SimdKernels, WeightedSumSkipZeroMatchesScalarAndCountsSkips) {
     }
 }
 
-TEST(SimdKernels, GatherAndGatherSum8MatchScalar) {
+TEST(SimdKernels, GatherMatchesScalar) {
     stats::Rng rng(24);
     const std::vector<double> values = random_vector(4096, rng);
     for (std::size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 100ul, 4096ul}) {
@@ -274,8 +276,6 @@ TEST(SimdKernels, GatherAndGatherSum8MatchScalar) {
         std::vector<double> ref(n), out(n);
         simd::ops_for(simd::Level::kScalar)
             .gather(values.data(), idx.data(), n, ref.data());
-        const double ref_sum = simd::ops_for(simd::Level::kScalar)
-                                   .gather_sum8(values.data(), idx.data(), n);
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_TRUE(bit_equal(ref[i], values[idx[i]]));
         for (simd::Level level : supported_levels()) {
@@ -284,11 +284,134 @@ TEST(SimdKernels, GatherAndGatherSum8MatchScalar) {
             EXPECT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(double)),
                       0)
                 << simd::level_name(level) << " n=" << n;
-            EXPECT_TRUE(bit_equal(simd::ops_for(level).gather_sum8(
-                                      values.data(), idx.data(), n),
-                                  ref_sum))
-                << simd::level_name(level) << " n=" << n;
         }
+    }
+}
+
+// --- resample_sum8 -----------------------------------------------------------
+//
+// The oracle is the textbook loop over stats::Rng: each stream's m
+// uniform_index draws, summed in the canonical 8 lanes. Every level must
+// return the same sums bit for bit and leave every stream's state exactly
+// where that loop leaves its Rng.
+
+namespace {
+
+using StreamStates = std::vector<std::array<std::uint64_t, 4>>;
+
+void expect_resample_matches_rng(const StreamStates& states,
+                                 const std::vector<double>& values,
+                                 std::size_t m, const std::string& what) {
+    const std::size_t streams = states.size();
+    std::vector<double> want(streams);
+    StreamStates want_states(streams);
+    for (std::size_t s = 0; s < streams; ++s) {
+        stats::Rng rng = stats::Rng::from_state(states[s]);
+        double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        for (std::size_t i = 0; i < m; ++i)
+            acc[i & 7] += values[rng.uniform_index(m)];
+        want[s] = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                  ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+        want_states[s] = rng.state();
+    }
+    for (simd::Level level : supported_levels()) {
+        auto words = std::make_unique<std::uint64_t[][4]>(streams);
+        for (std::size_t s = 0; s < streams; ++s)
+            std::copy(states[s].begin(), states[s].end(), words[s]);
+        std::vector<double> got(streams, -1.0);
+        simd::ops_for(level).resample_sum8(words.get(), streams, values.data(),
+                                           m, got.data());
+        for (std::size_t s = 0; s < streams; ++s) {
+            ASSERT_TRUE(bit_equal(got[s], want[s]))
+                << simd::level_name(level) << " " << what << " m=" << m
+                << " streams=" << streams << " stream=" << s;
+            for (int k = 0; k < 4; ++k)
+                ASSERT_EQ(words[s][k], want_states[s][k])
+                    << simd::level_name(level) << " " << what << " m=" << m
+                    << " stream=" << s << " word=" << k;
+        }
+    }
+}
+
+StreamStates split_states(const stats::Rng& base, std::size_t streams) {
+    StreamStates states(streams);
+    for (std::size_t s = 0; s < streams; ++s) states[s] = base.split(s).state();
+    return states;
+}
+
+// Inverse of an odd 64-bit multiplier (Newton's iteration mod 2^64).
+std::uint64_t odd_inverse(std::uint64_t a) {
+    std::uint64_t inv = a;
+    for (int k = 0; k < 5; ++k) inv *= 2 - a * inv;
+    return inv;
+}
+
+// A state whose next xoshiro256** output is `x`: the output is
+// rotl(s1 * 5, 7) * 9, so s1 = rotr(x * 9^-1, 7) * 5^-1. The other words
+// come from `rng`.
+std::array<std::uint64_t, 4> state_with_next_output(std::uint64_t x,
+                                                    stats::Rng& rng) {
+    const std::uint64_t r = x * odd_inverse(9);
+    const std::uint64_t s1 = ((r >> 7) | (r << 57)) * odd_inverse(5);
+    return {rng.next_u64(), s1, rng.next_u64(), rng.next_u64()};
+}
+
+} // namespace
+
+TEST(SimdResample, MatchesRngStreamsForEveryChunkSize) {
+    stats::Rng rng(25);
+    const std::vector<double> values = random_vector(4096, rng);
+    const stats::Rng base(26);
+    // Six streams: one full AVX2 group of four plus a two-stream remainder.
+    for (std::size_t m = 1; m <= 4096; ++m)
+        expect_resample_matches_rng(split_states(base.split(m), 6), values, m,
+                                    "every-m");
+}
+
+TEST(SimdResample, EveryStreamCountAndEmptyChunk) {
+    stats::Rng rng(27);
+    const std::vector<double> values = random_vector(4096, rng);
+    const stats::Rng base(28);
+    for (std::size_t streams = 1; streams <= 9; ++streams)
+        for (std::size_t m : {0ul, 1ul, 7ul, 8ul, 9ul, 1000ul, 4095ul, 4096ul})
+            expect_resample_matches_rng(
+                split_states(base.split(streams * 10000 + m), streams), values,
+                m, "stream-count");
+}
+
+TEST(SimdResample, RejectionPathInEveryLanePosition) {
+    stats::Rng rng(29);
+    const std::vector<double> values = random_vector(4096, rng);
+    // An output word of 0 has low product 0 < (2^64 - m) mod m for any m
+    // that is not a power of two: Lemire rejects it and draws again. An
+    // output of 1 has low product m: it needs the exact check but is
+    // accepted. Random streams reach neither (p ~ 2^-32 per draw).
+    for (const std::uint64_t x : {std::uint64_t{0}, std::uint64_t{1}}) {
+        {
+            stats::Rng probe = stats::Rng::from_state(
+                state_with_next_output(x, rng));
+            stats::Rng twice = probe;
+            EXPECT_EQ(twice.next_u64(), x);
+            (void)twice.next_u64();
+            (void)probe.uniform_index(1000);
+            EXPECT_EQ(probe.state() == twice.state(), x == 0)
+                << "x=" << x << " must " << (x == 0 ? "" : "not ")
+                << "take the rejection loop";
+        }
+        // Position p of 9 streams: AVX2 lanes 0-3 of both groups, and the
+        // remainder stream 8.
+        for (std::size_t p = 0; p < 9; ++p)
+            for (std::size_t m : {3ul, 1000ul, 4095ul, 4096ul}) {
+                StreamStates states = split_states(stats::Rng(30 + p), 9);
+                states[p] = state_with_next_output(x, rng);
+                expect_resample_matches_rng(states, values, m,
+                                            "crafted x=" + std::to_string(x) +
+                                                " at " + std::to_string(p));
+            }
+        // Every stream of a group crafted at once.
+        StreamStates all(4);
+        for (auto& state : all) state = state_with_next_output(x, rng);
+        expect_resample_matches_rng(all, values, 999, "all lanes crafted");
     }
 }
 

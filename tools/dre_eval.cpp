@@ -235,9 +235,12 @@ std::atomic<bool> g_interrupted{false};
 extern "C" void handle_stop_signal(int) { g_interrupted.store(true); }
 
 // Classified exit codes (see file comment): one `error:` line to stderr,
-// then 2 for bad arguments, 3 for bad input / I/O, 4 for anything else.
+// then 2 for bad arguments, 3 for bad input / I/O, 4 for anything else. A
+// defective tuple is bad input although its type is an invalid_argument,
+// so it is classified first.
 int report_error(const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    if (dynamic_cast<const TupleDefectError*>(&e) != nullptr) return 3;
     if (dynamic_cast<const std::invalid_argument*>(&e) != nullptr) return 2;
     if (dynamic_cast<const std::runtime_error*>(&e) != nullptr) return 3;
     return 4;
